@@ -10,7 +10,19 @@ outgoing and incoming half-arcs.  Both face colors traverse arcs forward:
 
 With alternation these departures are outgoing, so each color induces a
 permutation of the outgoing half-arcs whose orbits are the faces.
+
+A proface departs inside the block of its arrival, the (outgoing,
+incoming) pair that sits clockwise-before it, so profaces depend only on
+how half-arcs pair into blocks.  ``with_rotation`` uses this: when the
+blocks at the changed vertex stay intact, the child keeps its parent's
+profaces and every antiface that does not arrive on a re-paired incoming
+half, and derives the rest by re-joining slices of the touched antifaces.
+``trace_faces`` is the reference tracer, and ``verify_embedding`` traces a
+derived embedding afresh from its rotations, so it stays an independent
+check.
 """
+
+from itertools import chain
 
 from .digraph import mate
 from .errors import EmbeddingError, GraphError
@@ -33,6 +45,17 @@ class FaceWalk:
         self.color = color
         self.corners = tuple(digraph.head(h >> 1) for h in walk)
         self._vset = frozenset(self.corners)
+
+    @classmethod
+    def _joined(cls, walk, corners, color):
+        """Face from a closed walk and its corners, given in any rotation."""
+        i = walk.index(min(walk))
+        face = cls.__new__(cls)
+        face.walk = walk[i:] + walk[:i]
+        face.color = color
+        face.corners = corners[i:] + corners[:i]
+        face._vset = frozenset(corners)
+        return face
 
     @property
     def key(self):
@@ -97,9 +120,13 @@ class FaceWalk:
 
 
 class OrientedDirectedEmbedding:
-    """Immutable rotation system over a digraph's half-arcs."""
+    """Immutable rotation system over a digraph's half-arcs.
 
-    __slots__ = ("digraph", "rotations", "_pos", "_faces")
+    ``_faces`` is None until the faces are known; ``_derived`` says they
+    were spliced from a parent's faces rather than traced.
+    """
+
+    __slots__ = ("digraph", "rotations", "_pos", "_faces", "_derived", "_antiface_index")
 
     def __init__(self, digraph, rotations):
         rotations = tuple(tuple(int(h) for h in rot) for rot in rotations)
@@ -116,6 +143,8 @@ class OrientedDirectedEmbedding:
         self.rotations = rotations
         self._pos = tuple({h: i for i, h in enumerate(rot)} for rot in rotations)
         self._faces = None
+        self._derived = False
+        self._antiface_index = None
 
     def next_cw(self, h):
         v = self.digraph.half_arc_vertex(h)
@@ -194,6 +223,16 @@ class OrientedDirectedEmbedding:
     def antifaces(self):
         return self._trace()[1]
 
+    def antiface(self, key):
+        """The antiface whose canonical walk is ``key``."""
+        index = self._antiface_index
+        if index is None:
+            index = self._antiface_index = {f.key: f for f in self.antifaces}
+        face = index.get(key)
+        if face is None:
+            raise EmbeddingError(f"face with walk {key} is not an antiface of this embedding")
+        return face
+
     def antiface_count(self):
         return len(self.antifaces)
 
@@ -202,9 +241,100 @@ class OrientedDirectedEmbedding:
         return len(pro) + len(anti)
 
     def with_rotation(self, v, new_rotation):
+        """This embedding with the rotation at v replaced.
+
+        Only the new rotation is validated; every other rotation is shared.
+        When this embedding's faces are known and the new rotation keeps
+        the same blocks at v, the child's faces are derived at once;
+        otherwise they are traced in full when first read.
+        """
+        digraph = self.digraph
+        rotation = tuple(int(h) for h in new_rotation)
         rotations = list(self.rotations)
-        rotations[v] = tuple(new_rotation)
-        return OrientedDirectedEmbedding(self.digraph, rotations)
+        rotations[v] = rotation
+        if tuple(sorted(rotation)) != digraph.incident_half_arcs(v):
+            raise EmbeddingError(
+                f"rotation at vertex {v} is not a permutation of its half-arcs"
+            )
+        positions = list(self._pos)
+        positions[v] = {h: i for i, h in enumerate(rotation)}
+        child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
+        child.digraph = digraph
+        child.rotations = tuple(rotations)
+        child._pos = tuple(positions)
+        child._faces = None
+        child._derived = False
+        child._antiface_index = None
+        if self._faces is not None:
+            old = _block_successors(self.rotations[v])
+            new = _block_successors(rotation)
+            # profaces depend only on the block pairing, so equal blocks keep them
+            if old is not None and new is not None and old[0] == new[0]:
+                child._splice_antifaces(self, v, old[1], new[1])
+        return child
+
+    def _splice_antifaces(self, parent, v, old_next, new_next):
+        """Derive faces from the parent's after the blocks at v were reordered.
+
+        ``old_next`` and ``new_next`` send each incoming half at v to the
+        antiface departure after it.  Every antiface arriving on a half
+        whose departure changed is cut after those arrivals; the slices are
+        re-joined by following ``new_next``.
+        """
+        profaces, antifaces = parent._faces
+        cut_after = {h ^ 1 for h, g in new_next.items() if old_next[h] != g}
+        kept = []
+        touched = []
+        slices = {}
+        for face in antifaces:
+            hits = cut_after.intersection(face.walk) if v in face._vset else ()
+            if not hits:
+                kept.append(face)
+                continue
+            touched.append(face)
+            walk = face.walk + face.walk
+            corners = face.corners + face.corners
+            cuts = sorted(walk.index(g) for g in hits)
+            cuts.append(cuts[0] + len(face.walk))
+            for start, end in zip(cuts, cuts[1:]):
+                slices[walk[start + 1]] = (walk[start + 1:end + 1], corners[start + 1:end + 1])
+        if len(slices) != len(cut_after):
+            raise EmbeddingError(
+                f"antifaces do not cover the re-paired arrivals at vertex {v}"
+            )
+        joined = []
+        while slices:
+            first, piece = slices.popitem()
+            walks, corners = [piece[0]], [piece[1]]
+            following = new_next[piece[0][-1] | 1]
+            while following != first:
+                piece = slices.pop(following, None)
+                if piece is None:
+                    raise EmbeddingError(
+                        f"spliced antiface slices at vertex {v} do not close"
+                    )
+                walks.append(piece[0])
+                corners.append(piece[1])
+                following = new_next[piece[0][-1] | 1]
+            joined.append(FaceWalk._joined(
+                tuple(chain.from_iterable(walks)),
+                tuple(chain.from_iterable(corners)),
+                "anti",
+            ))
+        if sum(map(len, joined)) != sum(map(len, touched)):
+            raise EmbeddingError(
+                "spliced antifaces do not cover exactly the arcs they replace"
+            )
+        self._faces = (profaces, tuple(sorted(kept + joined, key=lambda f: f.walk)))
+        self._derived = True
+        index = parent._antiface_index
+        if index is not None:
+            index = dict(index)
+            for face in touched:
+                del index[face.key]
+            for face in joined:
+                index[face.key] = face
+            self._antiface_index = index
 
     def to_json_dict(self):
         return {"rotations": [list(rot) for rot in self.rotations]}
@@ -228,6 +358,27 @@ class OrientedDirectedEmbedding:
 
     def __repr__(self):
         return f"OrientedDirectedEmbedding(n={self.digraph.n}, m={self.digraph.m})"
+
+
+def _block_successors(rotation):
+    """Block pairing and antiface successor at one vertex, or None.
+
+    Returns two dicts over the incoming half-arcs of an alternating
+    rotation: the outgoing half of each one's block, and the outgoing half
+    an antiface departs on after arriving there.  None when the rotation
+    does not alternate.
+    """
+    if rotation and rotation[0] & 1:
+        rotation = rotation[1:] + rotation[:1]
+    outgoing = rotation[0::2]
+    incoming = rotation[1::2]
+    if len(outgoing) != len(incoming):
+        return None
+    if any(g & 1 for g in outgoing) or not all(h & 1 for h in incoming):
+        return None
+    blocks = dict(zip(incoming, outgoing))
+    successors = dict(zip(incoming, outgoing[1:] + outgoing[:1]))
+    return blocks, successors
 
 
 def trace_faces(embedding):
@@ -309,7 +460,15 @@ def verify_embedding(embedding, decomposition=None):
     if failures:
         return VerificationReport(failures)
 
-    profaces, antifaces = trace_faces(embedding)
+    if embedding._derived:
+        fresh = type(embedding)(digraph, embedding.rotations)
+        profaces, antifaces = trace_faces(fresh)
+        if (profaces, antifaces) != embedding._faces:
+            failures.append(
+                ("derived-faces", "derived faces differ from a fresh trace")
+            )
+    else:
+        profaces, antifaces = trace_faces(embedding)
     for color, faces in (("pro", profaces), ("anti", antifaces)):
         covered = []
         for f in faces:

@@ -111,13 +111,6 @@ def walk_edge_pairs(vertices):
     )
 
 
-def _antiface_of(embedding, face):
-    for f in embedding.antifaces:
-        if f.key == face.key:
-            return f
-    raise EmbeddingError(f"face with walk {face.key} is not an antiface of this embedding")
-
-
 def _certificate(embedding, table, face, x, y):
     positions = face.alternation_positions(x, y)
     assert positions is not None
@@ -137,7 +130,7 @@ def three_neighbor_search(embedding, face, candidates, table=None):
     cross-type candidate.
     """
     table = table if table is not None else TypeTable(embedding)
-    face = _antiface_of(embedding, face)
+    face = embedding.antiface(face.key)
     chosen = sorted(set(candidates))
     if not chosen:
         raise HypothesisError("candidate set is empty")
@@ -194,7 +187,7 @@ def diamond_search(embedding, face, t, u, v, x, table=None):
     otherwise u.
     """
     table = table if table is not None else TypeTable(embedding)
-    face = _antiface_of(embedding, face)
+    face = embedding.antiface(face.key)
     if len({t, u, v}) != 3:
         raise HypothesisError("path vertices must be three distinct vertices")
     second = {w: table.partner(w, face.key) for w in (t, u, v)}
@@ -248,7 +241,7 @@ def check_three_neighbor_corollary(embedding, face, table=None):
     each other antiface claims at most all-but-(k + 3) of them.  Returns a
     certificate or None when the margin fails."""
     table = table if table is not None else TypeTable(embedding)
-    face = _antiface_of(embedding, face)
+    face = embedding.antiface(face.key)
     profile = density_profile(embedding.digraph)
     k = profile.k
     pool = table.two_face_vertices(face.key)
@@ -270,9 +263,9 @@ def check_big_moderate(embedding, face_a, face_b, face_c, table=None):
     moderately large partners force an interlaced pair on the big face.
     Returns a certificate or None when a size hypothesis fails."""
     table = table if table is not None else TypeTable(embedding)
-    a = _antiface_of(embedding, face_a)
-    b = _antiface_of(embedding, face_b)
-    c = _antiface_of(embedding, face_c)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
+    c = embedding.antiface(face_c.key)
     if len({a.key, b.key, c.key}) != 3:
         return None
     profile = density_profile(embedding.digraph)
@@ -297,8 +290,8 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
     diamond_search on whichever face carries both path edges.
     """
     table = table if table is not None else TypeTable(embedding)
-    a = _antiface_of(embedding, face_a)
-    b = _antiface_of(embedding, face_b)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
     if a.key == b.key:
         return None
     profile = density_profile(embedding.digraph)

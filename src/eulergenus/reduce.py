@@ -136,17 +136,12 @@ class _Reducer:
     def fail(self, message):
         raise NoProgressError(message, self.trace)
 
-    def face(self, key):
-        for f in self.emb.antifaces:
-            if f.key == key:
-                return f
-        raise AssertionError(f"no antiface with walk {key}")
-
     def record(self, case, operation, witness, count_before):
         self.trace.record(case, operation, witness, count_before, self.count())
         if self.validate_steps:
             report = verify_embedding(self.emb, self.decomposition)
-            assert report.ok, report.summary()
+            if not report.ok:
+                raise EmbeddingError(report.summary())
 
     def merge_three(self, v, faces, case="1"):
         before = self.count()
@@ -163,8 +158,8 @@ class _Reducer:
         self.record(case, "merge_interlaced", {"x": cert.x, "y": cert.y}, before)
 
     def blow(self, split_key, partner_key, case):
-        split = self.face(split_key)
-        partner = self.face(partner_key)
+        split = self.emb.antiface(split_key)
+        partner = self.emb.antiface(partner_key)
         shared = sorted(split.vertex_set() & partner.vertex_set())
         if not shared:
             self.fail(f"case {case}: the faces to blow up share no vertex")
@@ -222,7 +217,7 @@ class _Reducer:
         if shape.heaviest_pair is None:
             self.fail("no two antifaces share a vertex")
         p, q = shape.heaviest_pair
-        first, second = self.face(p), self.face(q)
+        first, second = self.emb.antiface(p), self.emb.antiface(q)
         if len(second.vertex_set()) > len(first.vertex_set()):
             first, second = second, first
         overlap = shape.heaviest_count
@@ -265,7 +260,7 @@ class _Reducer:
 
     def case_no_loops_star(self, table, touch, shape):
         center_key = shape.star_center
-        center = self.face(center_key)
+        center = self.emb.antiface(center_key)
         k = self.profile.k
         partner_key, partner_overlap = None, 0
         for other in touch.neighbors(center_key):
@@ -301,9 +296,9 @@ class _Reducer:
         other = new1 if looped_key == new2.key else new2
         cert = check_big_moderate(
             self.emb,
-            self.face(looped_key),
-            self.face(partner_key),
-            self.face(other.key),
+            self.emb.antiface(looped_key),
+            self.emb.antiface(partner_key),
+            self.emb.antiface(other.key),
             table2,
         )
         if cert is None:
@@ -332,9 +327,9 @@ class _Reducer:
         table2 = TypeTable(self.emb)
         cert = check_big_moderate(
             self.emb,
-            self.face(anchor_key),
-            self.face(new1.key),
-            self.face(new2.key),
+            self.emb.antiface(anchor_key),
+            self.emb.antiface(new1.key),
+            self.emb.antiface(new2.key),
             table2,
         )
         if cert is None:
@@ -356,9 +351,9 @@ class _Reducer:
         table2 = TypeTable(self.emb)
         cert = check_big_moderate(
             self.emb,
-            self.face(loop_key),
-            self.face(new1.key),
-            self.face(new2.key),
+            self.emb.antiface(loop_key),
+            self.emb.antiface(new1.key),
+            self.emb.antiface(new2.key),
             table2,
         )
         if cert is None:
@@ -400,9 +395,9 @@ class _Reducer:
         other = next1 if final_key == next2.key else next2
         cert = check_big_moderate(
             self.emb,
-            self.face(final_key),
-            self.face(sibling.key),
-            self.face(other.key),
+            self.emb.antiface(final_key),
+            self.emb.antiface(sibling.key),
+            self.emb.antiface(other.key),
             table3,
         )
         if cert is None:

@@ -4,7 +4,10 @@ All four operations rewrite rotations only at whole-block granularity: a
 block is one (outgoing, incoming) pair of a rotation, and proface pairing
 lives inside blocks while antiface pairing crosses block boundaries.
 Permuting blocks at a vertex therefore rewires antifaces and nothing else.
-Every operation re-traces the result and asserts its own postconditions.
+The result of each rewrite inherits its parent's profaces and every
+untouched antiface, and derives only the antifaces through the re-paired
+arrivals (see ``OrientedDirectedEmbedding.with_rotation``); every
+operation asserts its own postconditions on those faces.
 """
 
 from fractions import Fraction
@@ -36,13 +39,6 @@ class SurgeryResult:
 
     def __repr__(self):
         return f"SurgeryResult(changed={self.changed}, branch={self.branch})"
-
-
-def _find_antiface(embedding, face):
-    for f in embedding.antifaces:
-        if f.key == face.key:
-            return f
-    raise EmbeddingError(f"face with walk {face.key} is not an antiface of this embedding")
 
 
 def _cyclic_slice(seq, i, j):
@@ -97,9 +93,9 @@ def _arrival_at(face, v):
 
 def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
     """Merge three antifaces meeting at v into one; count drops by two."""
-    a = _find_antiface(embedding, face_a)
-    b = _find_antiface(embedding, face_b)
-    c = _find_antiface(embedding, face_c)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
+    c = embedding.antiface(face_c.key)
     keys = {a.key, b.key, c.key}
     if len(keys) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
@@ -108,12 +104,12 @@ def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
 
     old_keys = {f.key for f in embedding.antifaces}
     new_faces = {f.key: f for f in new_embedding.antifaces}
-    assert {f.key for f in new_embedding.profaces} == {f.key for f in embedding.profaces}
+    assert new_embedding.profaces == embedding.profaces
     created = set(new_faces) - old_keys
     assert created and set(new_faces) == (old_keys - keys) | created
     assert len(created) == 1
     merged = new_faces[created.pop()]
-    assert sorted(merged.arcs()) == sorted(a.arcs() + b.arcs() + c.arcs())
+    assert sorted(merged.walk) == sorted(a.walk + b.walk + c.walk)
     assert len(new_faces) == len(old_keys) - 2
 
     face_map = {a.key: merged, b.key: merged, c.key: merged}
@@ -129,8 +125,8 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     clockwise rotation at v and reported, never assumed: ``kept_part`` names
     the part that stayed a face of its own.  The antiface count is unchanged.
     """
-    a = _find_antiface(embedding, face_a)
-    b = _find_antiface(embedding, face_b)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
     if a.key == b.key:
         raise EmbeddingError("split and partner antifaces must be distinct")
     size = len(a.walk)
@@ -174,7 +170,7 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
     new_faces = {f.key: f for f in new_embedding.antifaces}
-    assert {f.key for f in new_embedding.profaces} == {f.key for f in embedding.profaces}
+    assert new_embedding.profaces == embedding.profaces
     merged_key = FaceWalk(embedding.digraph, merged_walk, "anti").key
     kept_key = FaceWalk(embedding.digraph, kept_walk, "anti").key
     old_keys = {f.key for f in embedding.antifaces}
@@ -195,9 +191,9 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     y also on C.  A is split at the two x corners, one part swallows B, and
     the three faces now at y are merged.  Net antiface count drops by two.
     """
-    a = _find_antiface(embedding, face_a)
-    b = _find_antiface(embedding, face_b)
-    c = _find_antiface(embedding, face_c)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
+    c = embedding.antiface(face_c.key)
     if len({a.key, b.key, c.key}) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
     if x == y:
@@ -217,7 +213,7 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     piece1 = first.merged
     piece2 = first.kept
     assert piece1.visits(y) and piece2.visits(y)
-    c_now = _find_antiface(first.embedding, c)
+    c_now = first.embedding.antiface(c.key)
     second = merge_three_at_vertex(first.embedding, y, piece1, piece2, c_now)
 
     merged = second.merged
@@ -323,8 +319,8 @@ def blow_up(embedding, face_a, face_b, x):
     profile = density_profile(digraph)
     n, k = profile.n, profile.k
     _require_locally_irreducible(embedding)
-    a = _find_antiface(embedding, face_a)
-    b = _find_antiface(embedding, face_b)
+    a = embedding.antiface(face_a.key)
+    b = embedding.antiface(face_b.key)
     if a.key == b.key:
         raise HypothesisError("the two antifaces must be distinct")
     if not (a.visits(x) and b.visits(x)):

@@ -12,6 +12,7 @@ from eulergenus import (
     GraphError,
     HypothesisError,
     NoProgressError,
+    OrientedDirectedEmbedding,
     UndirectedGraph,
     embed_from_decomposition,
     euler_circuit,
@@ -188,6 +189,30 @@ def test_dead_end_safety_bound_exemplar(circ11):
     steps = err.value.trace.steps
     assert len(steps) == 24
     assert all(s.case == "2.2" for s in steps)
+
+
+def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
+    """The per-step check is an exception, not an assert, so ``-O`` keeps it."""
+    from eulergenus import reduce as reduce_module
+
+    digraph, decomposition = tournament7
+    real_merge = reduce_module.merge_three_at_vertex
+
+    def corrupting_merge(embedding, v, *faces):
+        result = real_merge(embedding, v, *faces)
+        blocks = list(result.embedding.blocks_at(0))
+        (g0, h0), (g1, h1) = blocks[:2]
+        blocks[:2] = [(g1, h0), (g0, h1)]  # re-pair two blocks: profaces change
+        rotation = tuple(h for block in blocks for h in block)
+        result.embedding = OrientedDirectedEmbedding(
+            digraph, (rotation,) + result.embedding.rotations[1:]
+        )
+        return result
+
+    monkeypatch.setattr(reduce_module, "merge_three_at_vertex", corrupting_merge)
+    emb = nth_state(digraph, decomposition, 0)
+    with pytest.raises(EmbeddingError, match="profaces-match"):
+        reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=True)
 
 
 def test_reduce_embedding_guards_the_profaces(double_digon, four_loops):

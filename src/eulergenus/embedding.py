@@ -20,11 +20,19 @@ half, and derives the rest by re-joining slices of the touched antifaces.
 ``trace_faces`` is the reference tracer, and ``verify_embedding`` traces a
 derived embedding afresh from its rotations, so it stays an independent
 check.
+
+The full tracer runs over flat lists indexed by half-arc: ``after[h]`` and
+``before[h]`` are the clockwise neighbours of h in its rotation, built once
+from the rotations, so one step of a proface is ``before[h ^ 1]`` and one
+step of an antiface is ``after[h ^ 1]``.  Orbits are marked in a bytearray,
+and each face's corners are read from a per-half-arc head list.  A face's
+set of walk arcs is built only when first asked for (``FaceWalk.walk_set``),
+so that "does this face hold arc g" costs O(1) for the few faces a surgery
+touches while untouched faces never pay for it.
 """
 
 from itertools import chain
 
-from .digraph import mate
 from .errors import EmbeddingError, GraphError
 
 
@@ -35,7 +43,7 @@ class FaceWalk:
     ``walk[j]`` and departing on ``walk[j + 1]``.
     """
 
-    __slots__ = ("walk", "color", "corners", "_vset")
+    __slots__ = ("walk", "color", "corners", "_vset", "_walk_set")
 
     def __init__(self, digraph, walk, color):
         walk = tuple(walk)
@@ -45,6 +53,7 @@ class FaceWalk:
         self.color = color
         self.corners = tuple(digraph.head(h >> 1) for h in walk)
         self._vset = frozenset(self.corners)
+        self._walk_set = None
 
     @classmethod
     def _joined(cls, walk, corners, color):
@@ -55,6 +64,7 @@ class FaceWalk:
         face.color = color
         face.corners = corners[i:] + corners[:i]
         face._vset = frozenset(corners)
+        face._walk_set = None
         return face
 
     @property
@@ -66,6 +76,14 @@ class FaceWalk:
 
     def arcs(self):
         return tuple(h >> 1 for h in self.walk)
+
+    @property
+    def walk_set(self):
+        """The outgoing half-arcs of the walk as a frozenset, built on first use."""
+        arcs = self._walk_set
+        if arcs is None:
+            arcs = self._walk_set = frozenset(self.walk)
+        return arcs
 
     def vertex_set(self):
         return self._vset
@@ -129,7 +147,7 @@ class OrientedDirectedEmbedding:
     __slots__ = ("digraph", "rotations", "_pos", "_faces", "_derived", "_antiface_index")
 
     def __init__(self, digraph, rotations):
-        rotations = tuple(tuple(int(h) for h in rot) for rot in rotations)
+        rotations = tuple(tuple(map(int, rot)) for rot in rotations)
         if len(rotations) != digraph.n:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
@@ -141,7 +159,7 @@ class OrientedDirectedEmbedding:
                 )
         self.digraph = digraph
         self.rotations = rotations
-        self._pos = tuple({h: i for i, h in enumerate(rot)} for rot in rotations)
+        self._pos = tuple(dict(zip(rot, range(len(rot)))) for rot in rotations)
         self._faces = None
         self._derived = False
         self._antiface_index = None
@@ -159,11 +177,15 @@ class OrientedDirectedEmbedding:
     def alternation_failure(self):
         """First vertex whose rotation does not alternate directions, or None."""
         for v, rot in enumerate(self.rotations):
-            if len(rot) % 2 == 1:
+            if not rot:
+                continue
+            # cyclically consecutive half-arcs differ in direction exactly
+            # when the length is even, the even slots share one direction
+            # and the odd slots share the other
+            even = {h & 1 for h in rot[0::2]}
+            odd = {h & 1 for h in rot[1::2]}
+            if len(rot) % 2 or len(even) != 1 or len(odd) != 1 or even == odd:
                 return v
-            for i, h in enumerate(rot):
-                if (h & 1) == (rot[(i + 1) % len(rot)] & 1):
-                    return v
         return None
 
     def blocks_at(self, v):
@@ -188,31 +210,37 @@ class OrientedDirectedEmbedding:
         bad = self.alternation_failure()
         if bad is not None:
             raise EmbeddingError(f"rotation at vertex {bad} does not alternate")
-        digraph = self.digraph
-        outgoing = [2 * a for a in range(digraph.m)]
-        profaces = []
-        antifaces = []
-        for color, step in (("pro", self.prev_cw), ("anti", self.next_cw)):
-            seen = set()
+        size = 2 * self.digraph.m
+        after = [0] * size
+        before = [0] * size
+        for rot in self.rotations:
+            for h, g in zip(rot, rot[1:] + rot[:1]):
+                after[h] = g
+                before[g] = h
+        # both halves of an arc map to its head, the corner after the arc
+        corner = [head for _, head in self.digraph.arcs for _ in (0, 1)]
+        families = []
+        for color, step in (("pro", before), ("anti", after)):
+            seen = bytearray(size)
             faces = []
-            for h0 in outgoing:
-                if h0 in seen:
+            for h0 in range(0, size, 2):
+                if seen[h0]:
                     continue
                 orbit = []
                 h = h0
-                while h not in seen:
-                    seen.add(h)
+                while not seen[h]:
+                    seen[h] = 1
                     orbit.append(h)
-                    h = step(mate(h))
+                    h = step[h ^ 1]
                 if h != h0:
                     raise EmbeddingError("face tracing did not close an orbit")
-                faces.append(FaceWalk(digraph, orbit, color))
-            faces.sort(key=lambda f: f.walk)
-            if color == "pro":
-                profaces = faces
-            else:
-                antifaces = faces
-        self._faces = (tuple(profaces), tuple(antifaces))
+                faces.append(FaceWalk._joined(
+                    tuple(orbit), tuple(map(corner.__getitem__, orbit)), color
+                ))
+            # each orbit starts at its least arc and orbits are found in
+            # ascending order of it, so the faces are already sorted by walk
+            families.append(tuple(faces))
+        self._faces = tuple(families)
         return self._faces
 
     @property
@@ -249,7 +277,7 @@ class OrientedDirectedEmbedding:
         otherwise they are traced in full when first read.
         """
         digraph = self.digraph
-        rotation = tuple(int(h) for h in new_rotation)
+        rotation = tuple(map(int, new_rotation))
         rotations = list(self.rotations)
         rotations[v] = rotation
         if tuple(sorted(rotation)) != digraph.incident_half_arcs(v):
@@ -257,7 +285,7 @@ class OrientedDirectedEmbedding:
                 f"rotation at vertex {v} is not a permutation of its half-arcs"
             )
         positions = list(self._pos)
-        positions[v] = {h: i for i, h in enumerate(rotation)}
+        positions[v] = dict(zip(rotation, range(len(rotation))))
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
         child.digraph = digraph
         child.rotations = tuple(rotations)
@@ -287,7 +315,7 @@ class OrientedDirectedEmbedding:
         touched = []
         slices = {}
         for face in antifaces:
-            hits = cut_after.intersection(face.walk) if v in face._vset else ()
+            hits = cut_after & face.walk_set if v in face._vset else ()
             if not hits:
                 kept.append(face)
                 continue

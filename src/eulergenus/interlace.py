@@ -8,6 +8,9 @@ what merge_interlaced consumes.  Searches are deterministic: all scans run
 in ascending position or vertex order.
 """
 
+from collections import Counter
+from itertools import chain
+
 from .digraph import density_profile, underlying_simple_graph
 from .errors import EmbeddingError, GraphError, HypothesisError, LocalIrreducibilityError
 
@@ -75,16 +78,13 @@ class InterlacingCertificate:
 def find_vertex_on_three_antifaces(embedding):
     """Lowest vertex lying on three or more antifaces, with its three
     lowest-walk faces; None when the embedding is locally irreducible."""
-    on_faces = {}
-    for f in embedding.antifaces:
-        for v in f.vertex_set():
-            on_faces.setdefault(v, []).append(f)
-    for v in sorted(on_faces):
-        faces = on_faces[v]
-        if len(faces) >= 3:
-            faces.sort(key=lambda f: f.walk)
-            return v, tuple(faces[:3])
-    return None
+    antifaces = embedding.antifaces
+    counts = Counter(chain.from_iterable(f.vertex_set() for f in antifaces))
+    v = min((u for u, count in counts.items() if count >= 3), default=None)
+    if v is None:
+        return None
+    # antifaces are sorted by walk, so the first three at v are the lowest
+    return v, tuple(f for f in antifaces if f.visits(v))[:3]
 
 
 def usg_walk(face):

@@ -7,7 +7,8 @@ Permuting blocks at a vertex therefore rewires antifaces and nothing else.
 The result of each rewrite inherits its parent's profaces and every
 untouched antiface, and derives only the antifaces through the re-paired
 arrivals (see ``OrientedDirectedEmbedding.with_rotation``); every
-operation asserts its own postconditions on those faces.
+operation checks its own postconditions on those faces and raises
+``EmbeddingError`` when one fails, also under ``python -O``.
 """
 
 from fractions import Fraction
@@ -83,12 +84,13 @@ def _rewire_three(embedding, v, h1, h2, h3):
     return embedding.with_rotation(v, rotation)
 
 
-def _arrival_at(face, v):
+def _arrival_at(digraph, face, v):
     """Lowest incoming half-arc on which the face reaches v."""
-    arrivals = [face.walk[j] | 1 for j in face.corner_positions(v)]
-    if not arrivals:
-        raise EmbeddingError(f"face does not visit vertex {v}")
-    return min(arrivals)
+    arcs = face.walk_set
+    for h in digraph.in_half_arcs(v):
+        if h ^ 1 in arcs:
+            return h
+    raise EmbeddingError(f"face does not visit vertex {v}")
 
 
 def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
@@ -99,18 +101,27 @@ def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
     keys = {a.key, b.key, c.key}
     if len(keys) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
-    chosen = sorted(_arrival_at(f, v) for f in (a, b, c))
+    chosen = sorted(_arrival_at(embedding.digraph, f, v) for f in (a, b, c))
     new_embedding = _rewire_three(embedding, v, *chosen)
 
     old_keys = {f.key for f in embedding.antifaces}
     new_faces = {f.key: f for f in new_embedding.antifaces}
-    assert new_embedding.profaces == embedding.profaces
+    if new_embedding.profaces != embedding.profaces:
+        raise EmbeddingError(f"merge at vertex {v} changed the profaces")
     created = set(new_faces) - old_keys
-    assert created and set(new_faces) == (old_keys - keys) | created
-    assert len(created) == 1
+    if len(created) != 1 or set(new_faces) != (old_keys - keys) | created:
+        raise EmbeddingError(
+            f"merge at vertex {v} did not replace three antifaces by one"
+        )
     merged = new_faces[created.pop()]
-    assert sorted(merged.walk) == sorted(a.walk + b.walk + c.walk)
-    assert len(new_faces) == len(old_keys) - 2
+    # no arc repeats on a face, so equal lengths and equal arc sets mean
+    # the merged walk holds exactly the arcs of the three inputs
+    arcs = merged.walk_set
+    if not (len(arcs) == len(merged.walk) == len(a.walk) + len(b.walk) + len(c.walk)
+            and arcs == a.walk_set | b.walk_set | c.walk_set):
+        raise EmbeddingError(
+            f"merged antiface at vertex {v} does not hold exactly the arcs of the three inputs"
+        )
 
     face_map = {a.key: merged, b.key: merged, c.key: merged}
     return SurgeryResult(new_embedding, face_map, merged=merged)
@@ -139,7 +150,7 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
 
     in_a1 = a.walk[cut1] | 1
     in_a2 = a.walk[cut2] | 1
-    in_b = _arrival_at(b, v)
+    in_b = _arrival_at(embedding.digraph, b, v)
     part1 = _cyclic_slice(a.walk, cut1 + 1, cut2)
     part2 = _cyclic_slice(a.walk, cut2 + 1, cut1)
     anchor = b.walk.index(in_b & ~1)
@@ -159,7 +170,8 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
         if blocks[idx][1] == in_b:
             merged_part = 2
             break
-    assert merged_part is not None
+    if merged_part is None:
+        raise EmbeddingError(f"cut arrivals are missing from the rotation at vertex {v}")
     if merged_part == 1:
         merged_walk = part1 + b_from_corner
         kept_walk = part2
@@ -170,12 +182,16 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
     new_faces = {f.key: f for f in new_embedding.antifaces}
-    assert new_embedding.profaces == embedding.profaces
+    if new_embedding.profaces != embedding.profaces:
+        raise EmbeddingError(f"split at vertex {v} changed the profaces")
     merged_key = FaceWalk(embedding.digraph, merged_walk, "anti").key
     kept_key = FaceWalk(embedding.digraph, kept_walk, "anti").key
     old_keys = {f.key for f in embedding.antifaces}
-    assert set(new_faces) == (old_keys - {a.key, b.key}) | {merged_key, kept_key}
-    assert len(new_faces) == len(old_keys)
+    if (len(new_faces) != len(old_keys)
+            or set(new_faces) != (old_keys - {a.key, b.key}) | {merged_key, kept_key}):
+        raise EmbeddingError(
+            f"split at vertex {v} did not yield the predicted kept and merged antifaces"
+        )
 
     merged = new_faces[merged_key]
     kept = new_faces[kept_key]

@@ -68,14 +68,12 @@ def build_touch_graph(embedding, table=None):
     offending vertex otherwise."""
     table = table if table is not None else TypeTable(embedding)
     touch = TouchGraph(table, embedding.digraph.n)
-    digraph = embedding.digraph
-    floor = 1 + min(len(row) for row in underlying_simple_graph(digraph))
+    floor = 1 + min(len(row) for row in underlying_simple_graph(embedding.digraph))
     for key, vs in touch.loops.items():
         if not vs:
             continue
         # a private vertex drags all its neighbors onto the same face
-        covered = {digraph.head(h >> 1) for h in key}
-        assert len(covered) >= floor, (key, vs)
+        assert len(table.faces[key].vertex_set()) >= floor, (key, vs)
     return touch
 
 

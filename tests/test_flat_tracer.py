@@ -1,0 +1,231 @@
+"""Fast paths against written-out references.
+
+The flat tracer, the sliced alternation rule, the arc-set arrival lookup
+and the counting three-face search each have a plain reference here that
+follows the definition step by step.
+"""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eulergenus import (
+    CircuitDecomposition,
+    Digraph,
+    EmbeddingError,
+    OrientedDirectedEmbedding,
+    euler_circuit,
+    find_vertex_on_three_antifaces,
+    gen_rotational_tournament,
+    gen_sts,
+)
+from eulergenus.embedding import FaceWalk
+from eulergenus.surgery import _arrival_at, _rewire_three
+
+from conftest import circulant
+
+
+def _graphs():
+    tournament = gen_rotational_tournament(9)
+    sts, _ = gen_sts(9)
+    circ = circulant(7, (1, 2, 3))
+    loops = Digraph(2, [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1), (1, 0)])
+    isolated = Digraph(3, [(0, 1), (1, 0), (0, 0)])  # vertex 2 has an empty rotation
+    return (tournament, sts, circ, loops, isolated)
+
+
+GRAPHS = _graphs()
+# vertex 0 has odd degree, so no rotation there alternates
+UNBALANCED = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+
+
+def _reference_alternation_failure(rotations):
+    """First vertex with two cyclically consecutive half-arcs of one direction."""
+    for v, rot in enumerate(rotations):
+        if len(rot) % 2 == 1:
+            return v
+        for i, h in enumerate(rot):
+            if (h & 1) == (rot[(i + 1) % len(rot)] & 1):
+                return v
+    return None
+
+
+def _reference_faces(embedding):
+    """Orbit walk over next_cw / prev_cw, one method call per arc."""
+    bad = _reference_alternation_failure(embedding.rotations)
+    if bad is not None:
+        raise EmbeddingError(f"rotation at vertex {bad} does not alternate")
+    families = []
+    for color, step in (("pro", embedding.prev_cw), ("anti", embedding.next_cw)):
+        seen = set()
+        faces = []
+        for h0 in range(0, 2 * embedding.digraph.m, 2):
+            if h0 in seen:
+                continue
+            orbit = []
+            h = h0
+            while h not in seen:
+                seen.add(h)
+                orbit.append(h)
+                h = step(h ^ 1)
+            assert h == h0
+            faces.append(FaceWalk(embedding.digraph, orbit, color))
+        faces.sort(key=lambda f: f.walk)
+        families.append(faces)
+    return families
+
+
+def _snapshot(faces):
+    return [(f.color, f.walk, f.corners, f.vertex_set()) for f in faces]
+
+
+def _alternating(digraph, v, rng):
+    outs = list(digraph.out_half_arcs(v))
+    ins = list(digraph.in_half_arcs(v))
+    rng.shuffle(outs)
+    rng.shuffle(ins)
+    rotation = [h for pair in zip(outs, ins) for h in pair]
+    shift = rng.randrange(len(rotation)) if rotation else 0
+    return rotation[shift:] + rotation[:shift]
+
+
+def _scrambled(digraph, v, rng):
+    rotation = list(digraph.incident_half_arcs(v))
+    rng.shuffle(rotation)
+    return rotation
+
+
+def _random_embedding(digraph, rng, scramble=0.0):
+    """Alternating rotations, each scrambled instead with the given chance."""
+    rotations = []
+    for v in range(digraph.n):
+        make = _scrambled if rng.random() < scramble else _alternating
+        rotations.append(make(digraph, v, rng))
+    return OrientedDirectedEmbedding(digraph, rotations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(GRAPHS))), st.integers(0, 2**32 - 1))
+def test_flat_tracer_equals_the_reference_orbit_walk(graph_index, seed):
+    emb = _random_embedding(GRAPHS[graph_index], random.Random(seed))
+    want = _reference_faces(emb)
+    got = emb._trace()
+    assert [_snapshot(faces) for faces in got] == [_snapshot(faces) for faces in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(range(len(GRAPHS))),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.1, 0.5, 1.0)),
+)
+def test_flat_tracer_raises_like_the_reference(graph_index, seed, scramble):
+    emb = _random_embedding(GRAPHS[graph_index], random.Random(seed), scramble)
+    try:
+        want = _reference_faces(emb)
+    except EmbeddingError as exc:
+        with pytest.raises(EmbeddingError) as caught:
+            emb._trace()
+        assert str(caught.value) == str(exc)
+    else:
+        got = emb._trace()
+        assert [_snapshot(faces) for faces in got] == [_snapshot(faces) for faces in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=9), max_size=5))
+def test_alternation_rule_equals_the_per_pair_definition(rotations):
+    # the rule reads only the rotations, so any integer sequences will do
+    fake = SimpleNamespace(rotations=tuple(map(tuple, rotations)))
+    got = OrientedDirectedEmbedding.alternation_failure(fake)
+    assert got == _reference_alternation_failure(fake.rotations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GRAPHS + (UNBALANCED,)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.0, 0.3, 1.0)),
+)
+def test_alternation_failure_on_embeddings(digraph, seed, scramble):
+    rng = random.Random(seed)
+    if digraph is UNBALANCED:
+        emb = OrientedDirectedEmbedding(
+            digraph, [_scrambled(digraph, v, rng) for v in range(digraph.n)]
+        )
+    else:
+        emb = _random_embedding(digraph, rng, scramble)
+    assert emb.alternation_failure() == _reference_alternation_failure(emb.rotations)
+
+
+def _old_arrival_at(face, v):
+    arrivals = [face.walk[j] | 1 for j in face.corner_positions(v)]
+    if not arrivals:
+        raise EmbeddingError(f"face does not visit vertex {v}")
+    return min(arrivals)
+
+
+def _old_find_vertex_on_three_antifaces(embedding):
+    on_faces = {}
+    for f in embedding.antifaces:
+        for v in f.vertex_set():
+            on_faces.setdefault(v, []).append(f)
+    for v in sorted(on_faces):
+        faces = on_faces[v]
+        if len(faces) >= 3:
+            faces.sort(key=lambda f: f.walk)
+            return v, tuple(faces[:3])
+    return None
+
+
+def _walked_embedding(digraph, seed, rewires):
+    """Random start with fixed profaces, then random 3-cycles of the antiface pairing."""
+    rng = random.Random(seed)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    fw = decomposition.fw
+    rotations = []
+    for v in range(digraph.n):
+        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
+        rng.shuffle(blocks)
+        rotations.append([h for block in blocks for h in block])
+    emb = OrientedDirectedEmbedding(digraph, rotations)
+    for _ in range(rewires):
+        v = rng.randrange(digraph.n)
+        ins = list(digraph.in_half_arcs(v))
+        if len(ins) >= 3:
+            emb = _rewire_three(emb, v, *rng.sample(ins, 3))
+    return emb
+
+
+EULERIAN = GRAPHS[:4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(range(len(EULERIAN))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+)
+def test_arrival_lookup_equals_the_corner_scan(graph_index, seed, rewires):
+    digraph = EULERIAN[graph_index]
+    emb = _walked_embedding(digraph, seed, rewires)
+    for face in emb.antifaces:
+        for v in range(digraph.n):
+            if face.visits(v):
+                assert _arrival_at(digraph, face, v) == _old_arrival_at(face, v)
+            else:
+                with pytest.raises(EmbeddingError, match=f"does not visit vertex {v}"):
+                    _arrival_at(digraph, face, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(range(len(EULERIAN))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+)
+def test_three_face_search_equals_the_membership_scan(graph_index, seed, rewires):
+    emb = _walked_embedding(EULERIAN[graph_index], seed, rewires)
+    assert find_vertex_on_three_antifaces(emb) == _old_find_vertex_on_three_antifaces(emb)

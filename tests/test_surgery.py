@@ -26,6 +26,7 @@ from eulergenus import (
     split_swap,
     verify_embedding,
 )
+from eulergenus.embedding import FaceWalk
 
 from conftest import nth_state
 
@@ -76,6 +77,54 @@ def test_split_swap_preserves_profaces(four_loops):
     result = split_swap(emb, 0, a, cut1, cut2, b)
     want = decomposition.canonical_set()
     assert {f.arcs() for f in result.embedding.profaces} == want
+
+
+def _corrupt_derived_faces(monkeypatch, corrupt):
+    """Have every derived embedding replace its newly joined antifaces."""
+    original = OrientedDirectedEmbedding._splice_antifaces
+
+    def splice(self, parent, v, old_next, new_next):
+        original(self, parent, v, old_next, new_next)
+        profaces, antifaces = self._faces
+        old = {f.key for f in parent.antifaces}
+        faces = [f if f.key in old else corrupt(f, parent) for f in antifaces]
+        self._faces = (profaces, tuple(sorted(faces, key=lambda f: f.walk)))
+        self._antiface_index = None
+
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_splice_antifaces", splice)
+
+
+def _drop_last_arc(face, parent):
+    return FaceWalk._joined(face.walk[:-1], face.corners[:-1], "anti")
+
+
+def _repeat_first_arc(face, parent):
+    return FaceWalk._joined(face.walk[:-1] + face.walk[:1], face.corners, "anti")
+
+
+def _foreign_last_arc(face, parent):
+    # an id outside every input face keeps the length and has no repeat
+    return FaceWalk._joined(face.walk[:-1] + (2 * parent.digraph.m,), face.corners, "anti")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_arc, _repeat_first_arc, _foreign_last_arc])
+def test_merge_three_rejects_a_corrupted_merged_face(tournament7, monkeypatch, corrupt):
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 0)
+    v, (a, b, c) = find_vertex_on_three_antifaces(emb)
+    _corrupt_derived_faces(monkeypatch, corrupt)
+    with pytest.raises(EmbeddingError, match="does not hold exactly the arcs"):
+        merge_three_at_vertex(emb, v, a, b, c)
+
+
+def test_split_swap_rejects_a_corrupted_merged_face(four_loops, monkeypatch):
+    digraph, decomposition = four_loops
+    emb = nth_state(digraph, decomposition, 0)
+    a, b = emb.antifaces
+    cut1, cut2 = a.corner_positions(0)[:2]
+    _corrupt_derived_faces(monkeypatch, _foreign_last_arc)
+    with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
+        split_swap(emb, 0, a, cut1, cut2, b)
 
 
 def test_split_swap_needs_two_distinct_corners(double_digon):

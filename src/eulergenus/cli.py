@@ -45,7 +45,8 @@ def _write_text(path, text):
 
 
 def _write_json(path, data):
-    _write_text(path, json.dumps(data, indent=2) + "\n")
+    # compact output: any indent makes json use its pure-Python encoder
+    _write_text(path, json.dumps(data) + "\n")
 
 
 def _status(args, message):

@@ -4,6 +4,14 @@ Arc ``a`` owns two half-arcs: ``2a`` (outgoing, at the tail) and ``2a + 1``
 (incoming, at the head).  The mate of a half-arc flips the low bit.  All
 per-vertex half-arc listings are sorted ascending, which fixes a canonical
 order used by every deterministic scan in the package.
+
+A ``Digraph`` is immutable, so it remembers two small facts the first time
+they are asked for: the connectivity flag behind ``is_connected()`` and the
+``DensityProfile`` that ``density_profile`` returns.  Each costs a few
+machine words, and the embed pipeline otherwise asks for each several times
+over.  The loop-free simple adjacency (``underlying_simple_graph``) is not
+kept: it holds a set per vertex, O(n + m) words on a dense digraph, and a
+process that keeps many digraphs alive would pay for every one of them.
 """
 
 from collections import deque
@@ -27,7 +35,7 @@ def is_outgoing(h):
 class Digraph:
     """Finite multidigraph on vertices ``0..n-1``, loops and parallels allowed."""
 
-    __slots__ = ("n", "arcs", "_out", "_in")
+    __slots__ = ("n", "arcs", "_out", "_in", "_connected", "_profile")
 
     def __init__(self, n, arcs):
         if n < 1:
@@ -46,6 +54,9 @@ class Digraph:
         # append order is ascending arc id, so the lists are already sorted
         self._out = tuple(tuple(hs) for hs in out)
         self._in = tuple(tuple(hs) for hs in inc)
+        # filled on first use by is_connected() and density_profile()
+        self._connected = None
+        self._profile = None
 
     @property
     def m(self):
@@ -84,6 +95,11 @@ class Digraph:
 
     def is_connected(self):
         """Connectivity of the underlying multigraph; isolated vertices disconnect."""
+        if self._connected is None:
+            self._connected = self._reaches_every_vertex()
+        return self._connected
+
+    def _reaches_every_vertex(self):
         if self.n == 1:
             return True
         adj = [set() for _ in range(self.n)]
@@ -137,20 +153,21 @@ class DirectedCircuit:
     __slots__ = ("digraph", "arc_ids")
 
     def __init__(self, digraph, arc_ids):
-        arc_ids = tuple(int(a) for a in arc_ids)
+        arc_ids = tuple(map(int, arc_ids))
         if not arc_ids:
             raise GraphError("a circuit must contain at least one arc")
         if len(set(arc_ids)) != len(arc_ids):
             raise GraphError("a circuit may not repeat an arc")
+        arcs = digraph.arcs
+        m = len(arcs)
         for a in arc_ids:
-            if not (0 <= a < digraph.m):
+            if not 0 <= a < m:
                 raise GraphError(f"circuit references unknown arc {a}")
-        for i, a in enumerate(arc_ids):
-            b = arc_ids[(i + 1) % len(arc_ids)]
-            if digraph.head(a) != digraph.tail(b):
+        for a, b in zip(arc_ids, arc_ids[1:] + arc_ids[:1]):
+            if arcs[a][1] != arcs[b][0]:
                 raise GraphError(
-                    f"circuit not closed: arc {a} ends at {digraph.head(a)} "
-                    f"but arc {b} starts at {digraph.tail(b)}"
+                    f"circuit not closed: arc {a} ends at {arcs[a][1]} "
+                    f"but arc {b} starts at {arcs[b][0]}"
                 )
         self.digraph = digraph
         self.arc_ids = arc_ids
@@ -193,13 +210,10 @@ class CircuitDecomposition:
         self.circuits = circuits
         # forward map: the incoming half of each arc to the outgoing half of
         # the next arc on its circuit; a per-vertex bijection by construction
-        fw = {}
-        for c in circuits:
-            ids = c.arc_ids
-            for i, a in enumerate(ids):
-                b = ids[(i + 1) % len(ids)]
-                fw[2 * a + 1] = 2 * b
-        self.fw = fw
+        self.fw = dict(zip(
+            [2 * a + 1 for c in circuits for a in c.arc_ids],
+            [2 * b for c in circuits for b in c.arc_ids[1:] + c.arc_ids[:1]],
+        ))
 
     def __len__(self):
         return len(self.circuits)
@@ -259,15 +273,21 @@ def density_profile(digraph):
 
     The two equivalent forms of the flag (5 * min_degree >= 4n + 2 and
     n >= 5k + 7) are both evaluated and must agree.
+
+    The profile is computed once per digraph and the same object is
+    returned on every later call, so callers must not modify it.
     """
-    n = digraph.n
-    adj = underlying_simple_graph(digraph)
-    min_degree = min(len(neighbors) for neighbors in adj)
-    k = n - 1 - min_degree
-    dense_by_degree = 5 * min_degree >= 4 * n + 2
-    dense_by_defect = n >= 5 * k + 7
-    assert dense_by_degree == dense_by_defect
-    return DensityProfile(n, min_degree, k, dense_by_degree)
+    profile = digraph._profile
+    if profile is None:
+        n = digraph.n
+        adj = underlying_simple_graph(digraph)
+        min_degree = min(len(neighbors) for neighbors in adj)
+        k = n - 1 - min_degree
+        dense_by_degree = 5 * min_degree >= 4 * n + 2
+        dense_by_defect = n >= 5 * k + 7
+        assert dense_by_degree == dense_by_defect
+        profile = digraph._profile = DensityProfile(n, min_degree, k, dense_by_degree)
+    return profile
 
 
 def euler_circuit(digraph):
@@ -283,17 +303,20 @@ def euler_circuit(digraph):
         raise GraphError("digraph is not connected")
     if digraph.m == 0:
         raise GraphError("digraph has no arcs")
-    next_free = [0] * digraph.n  # index into out_half_arcs(v) of first unused
-    start = min(v for v in range(digraph.n) if digraph.outdeg(v) > 0)
+    arcs = digraph.arcs
+    out = digraph._out
+    next_free = [0] * digraph.n  # index into out[v] of the first unused half-arc
+    start = min(v for v in range(digraph.n) if out[v])
     stack = [(start, None)]  # (vertex, arc traversed to reach it)
     arc_seq = []
     while stack:
         v = stack[-1][0]
-        outs = digraph.out_half_arcs(v)
-        if next_free[v] < len(outs):
-            a = outs[next_free[v]] >> 1
-            next_free[v] += 1
-            stack.append((digraph.head(a), a))
+        outs = out[v]
+        i = next_free[v]
+        if i < len(outs):
+            a = outs[i] >> 1
+            next_free[v] = i + 1
+            stack.append((arcs[a][1], a))
         else:
             _, a = stack.pop()
             if a is not None:

@@ -497,11 +497,11 @@ def verify_embedding(embedding, decomposition=None):
             )
     else:
         profaces, antifaces = trace_faces(embedding)
+    outgoing = set(range(0, 2 * digraph.m, 2))
     for color, faces in (("pro", profaces), ("anti", antifaces)):
-        covered = []
-        for f in faces:
-            covered.extend(f.walk)
-        if sorted(covered) != [2 * a for a in range(digraph.m)]:
+        covered = list(chain.from_iterable(f.walk for f in faces))
+        # m arcs whose set is every outgoing half: each appears exactly once
+        if len(covered) != digraph.m or set(covered) != outgoing:
             failures.append(
                 ("arc-coverage", f"{color}faces do not cover each arc exactly once")
             )

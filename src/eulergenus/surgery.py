@@ -76,7 +76,8 @@ def _rewire_three(embedding, v, h1, h2, h3):
         + blocks[c + 1:]
         + blocks[:a]
     )
-    assert len(reordered) == len(blocks)
+    if len(reordered) != len(blocks):
+        raise EmbeddingError(f"re-pairing at vertex {v} lost blocks")
     rotation = []
     for g, h in reordered:
         rotation.append(g)
@@ -228,13 +229,16 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     first = split_swap(embedding, x, a, p1, p3, b)
     piece1 = first.merged
     piece2 = first.kept
-    assert piece1.visits(y) and piece2.visits(y)
+    if not (piece1.visits(y) and piece2.visits(y)):
+        raise EmbeddingError(f"split at vertex {x} left a piece off vertex {y}")
     c_now = first.embedding.antiface(c.key)
     second = merge_three_at_vertex(first.embedding, y, piece1, piece2, c_now)
 
     merged = second.merged
-    assert merged.visits(x) and merged.visits(y)
-    assert len(second.embedding.antifaces) == len(embedding.antifaces) - 2
+    if not (merged.visits(x) and merged.visits(y)):
+        raise EmbeddingError(f"merged face misses vertex {x} or {y}")
+    if len(second.embedding.antifaces) != len(embedding.antifaces) - 2:
+        raise EmbeddingError("interlaced merge did not remove two antifaces")
     face_map = {a.key: merged, b.key: merged, c.key: merged}
     return SurgeryResult(second.embedding, face_map, merged=merged)
 
@@ -400,10 +404,16 @@ def blow_up(embedding, face_a, face_b, x):
     result.branch = branch
     lower = min(a_size - 2, n - k - 1)
     for f in (result.merged, result.kept):
-        assert 2 * len(f.vertex_set()) >= lower
-        assert f.visits(x)
-    assert result.merged.vertex_set() | result.kept.vertex_set() == \
-        a.vertex_set() | b.vertex_set()
+        if 2 * len(f.vertex_set()) < lower:
+            raise EmbeddingError(
+                f"blow-up left a face on {len(f.vertex_set())} vertices, "
+                f"fewer than half of {lower}"
+            )
+        if not f.visits(x):
+            raise EmbeddingError(f"blow-up left a face off vertex {x}")
+    if result.merged.vertex_set() | result.kept.vertex_set() != \
+            a.vertex_set() | b.vertex_set():
+        raise EmbeddingError("blow-up changed the vertices the two faces cover")
     return result
 
 

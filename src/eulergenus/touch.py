@@ -7,7 +7,8 @@ is one or the other, so the touch graph has exactly n edges.
 
 from collections import deque
 
-from .digraph import underlying_simple_graph
+from .digraph import density_profile
+from .errors import EmbeddingError
 from .interlace import TypeTable
 
 
@@ -26,8 +27,12 @@ class TouchGraph:
                 loops[keys[0]].append(v)
             else:
                 links.setdefault(keys, []).append(v)
-        assert sum(len(vs) for vs in loops.values()) + \
-            sum(len(vs) for vs in links.values()) == n
+        edges = sum(len(vs) for vs in loops.values()) + \
+            sum(len(vs) for vs in links.values())
+        if edges != n:
+            raise EmbeddingError(
+                f"touch graph has {edges} edges but the digraph has {n} vertices"
+            )
         self.loops = {key: tuple(vs) for key, vs in loops.items()}
         self.links = {pair: tuple(vs) for pair, vs in links.items()}
         neighbors = {key: set() for key in self.nodes}
@@ -68,12 +73,17 @@ def build_touch_graph(embedding, table=None):
     offending vertex otherwise."""
     table = table if table is not None else TypeTable(embedding)
     touch = TouchGraph(table, embedding.digraph.n)
-    floor = 1 + min(len(row) for row in underlying_simple_graph(embedding.digraph))
+    floor = 1 + density_profile(embedding.digraph).min_degree
     for key, vs in touch.loops.items():
         if not vs:
             continue
         # a private vertex drags all its neighbors onto the same face
-        assert len(table.faces[key].vertex_set()) >= floor, (key, vs)
+        size = len(table.faces[key].vertex_set())
+        if size < floor:
+            raise EmbeddingError(
+                f"antiface with private vertex {vs[0]} visits {size} vertices, "
+                f"fewer than {floor}"
+            )
     return touch
 
 

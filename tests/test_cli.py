@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from eulergenus import CircuitDecomposition, Digraph
+from eulergenus import (CircuitDecomposition, Digraph, enumerate_relative_embeddings,
+                        euler_circuit, gen_rotational_tournament,
+                        reduce_to_upper_embedding)
 from eulergenus.cli import main
 
 from conftest import circulant
@@ -135,6 +137,40 @@ def test_faces_json_and_touch_graph(tmp_path, capsys):
     assert code == 0
     assert out.startswith("graph touch {")
     assert 'f0 -- f0 [label="7"]' in out
+
+
+def _compact_json(path):
+    """Parsed content of a JSON artifact written as one line."""
+    text = path.read_text()
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    return json.loads(text)
+
+
+def test_json_artifacts_load_back_exactly(tmp_path, capsys):
+    g, c, e, f, o = (tmp_path / name for name in
+                     ("g.json", "c.json", "e.json", "f.json", "o.json"))
+    run(["gen", "tournament", "--n", "7", "--out", str(g), "--circuits", str(c)],
+        capsys)
+    digraph = gen_rotational_tournament(7)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    assert _compact_json(g) == digraph.to_json_dict()
+    assert _compact_json(c) == decomposition.to_json_dict()
+
+    run(["embed", "--in", str(g), "--circuits", str(c), "--out", str(e)], capsys)
+    emb, _ = reduce_to_upper_embedding(digraph, decomposition)
+    assert _compact_json(e) == emb.to_json_dict()
+
+    run(["faces", "--in", str(g), "--embedding", str(e), "--out", str(f)], capsys)
+    faces = _compact_json(f)
+    assert faces["profaces"] == [list(face.walk) for face in emb.profaces]
+    assert faces["antifaces"] == [list(face.walk) for face in emb.antifaces]
+
+    g3, c3 = _write_three_loops(tmp_path)
+    run(["oracle", "--in", str(g3), "--circuits", str(c3), "--out", str(o)], capsys)
+    loops = Digraph(1, [(0, 0)] * 3)
+    summary = enumerate_relative_embeddings(
+        loops, CircuitDecomposition.from_arc_lists(loops, [[0, 1, 2]]))
+    assert _compact_json(o) == summary.to_json_dict()
 
 
 def test_render_writes_svg(tmp_path, capsys):

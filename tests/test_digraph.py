@@ -124,6 +124,21 @@ def test_circuit_must_close_head_to_tail():
     assert len(circuit) == 2
 
 
+def test_circuit_error_texts():
+    dg = Digraph(3, [(0, 1), (1, 2), (2, 0), (1, 0)])
+    cases = (
+        ([0, 5, 7], "circuit references unknown arc 5"),
+        ([0, -1], "circuit references unknown arc -1"),
+        ([0, 2, 1], "circuit not closed: arc 0 ends at 1 but arc 2 starts at 2"),
+        # the pair that wraps around from the last arc to the first
+        ([0, 1], "circuit not closed: arc 1 ends at 2 but arc 0 starts at 0"),
+    )
+    for arc_ids, text in cases:
+        with pytest.raises(GraphError) as info:
+            DirectedCircuit(dg, arc_ids)
+        assert str(info.value) == text
+
+
 def test_circuit_canonical_rotation_starts_at_min_arc():
     dg = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     a = DirectedCircuit(dg, [1, 2, 0])
@@ -197,6 +212,54 @@ def test_density_forms_agree_on_circulant_grid():
             by_degree = 5 * prof.min_degree >= 4 * prof.n + 2
             by_k = prof.n >= 5 * prof.k + 7
             assert by_degree == by_k == prof.dense
+
+
+def _reference_connected(n, arcs):
+    component = list(range(n))
+
+    def root(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    for t, h in arcs:
+        component[root(t)] = root(h)
+    return len({root(v) for v in range(n)}) == 1
+
+
+def _reference_min_degree(n, arcs):
+    neighbours = [set() for _ in range(n)]
+    for t, h in arcs:
+        if t != h:
+            neighbours[t].add(h)
+            neighbours[h].add(t)
+    return min(len(ns) for ns in neighbours)
+
+
+@given(st.data())
+def test_remembered_facts_match_references(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    isolated = data.draw(st.booleans(), label="isolated") and n > 1
+    busy = n - isolated
+    arcs = data.draw(
+        st.lists(st.tuples(st.integers(0, busy - 1), st.integers(0, busy - 1)),
+                 min_size=1, max_size=24),
+        label="arcs",
+    )
+    loop = data.draw(st.integers(0, busy - 1), label="loop")
+    # always a loop and a parallel arc; vertex n - 1 is isolated when asked
+    arcs = arcs + [(loop, loop), arcs[0]]
+    dg = Digraph(n, arcs)
+    for _ in range(2):
+        assert dg.is_connected() == _reference_connected(n, arcs)
+    if isolated:
+        assert not dg.is_connected()
+    profile = density_profile(dg)
+    min_degree = _reference_min_degree(n, arcs)
+    assert (profile.n, profile.min_degree, profile.k, profile.dense) == (
+        n, min_degree, n - 1 - min_degree, 5 * min_degree >= 4 * n + 2
+    )
+    assert density_profile(dg) is profile
 
 
 def test_euler_circuit_covers_all_arcs_once():

@@ -209,3 +209,20 @@ def test_verify_flags_arc_coverage_gaps(double_digon):
     emb = Dropped(digraph, base.rotations)
     report = verify_embedding(emb, decomposition)
     assert any(kind == "arc-coverage" for kind, _ in report.failures)
+
+
+@pytest.mark.parametrize("forced", [
+    lambda anti: anti + anti[:1],  # every arc, and one face's arcs twice
+    lambda anti: anti[1:],         # one face's arcs missing
+], ids=["repeated", "missing"])
+def test_verify_flags_repeated_or_missing_arcs(double_digon, forced):
+    digraph, decomposition = double_digon
+    base = nth_state(digraph, decomposition, 0)
+
+    class Forced(_ForcedFaces):
+        pass
+
+    Forced.forced = staticmethod(forced)
+    report = verify_embedding(Forced(digraph, base.rotations), decomposition)
+    assert ("arc-coverage", "antifaces do not cover each arc exactly once") in report.failures
+    assert verify_embedding(base, decomposition).ok

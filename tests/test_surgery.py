@@ -26,6 +26,7 @@ from eulergenus import (
     split_swap,
     verify_embedding,
 )
+from eulergenus import surgery as surgery_module
 from eulergenus.embedding import FaceWalk
 
 from conftest import nth_state
@@ -243,6 +244,42 @@ def test_blow_up_splits_a_big_face(sts7):
         for f in result.embedding.antifaces:
             if f.key in (result.merged.key if result.merged else (), ):
                 assert 2 * len(f.vertex_set()) >= floor
+
+
+class _FaceOn:
+    """Stand-in face that only answers vertex questions."""
+
+    def __init__(self, vertices):
+        self.vertices = frozenset(vertices)
+
+    def vertex_set(self):
+        return self.vertices
+
+    def visits(self, v):
+        return v in self.vertices
+
+
+@pytest.mark.parametrize("kept_on, message", [
+    ({2}, "on 1 vertices, fewer than half of 4"),
+    ({0, 1, 3}, "off vertex 2"),
+    ({2, 3, 4}, "changed the vertices the two faces cover"),
+], ids=["too-small", "off-x", "lost-vertex"])
+def test_blow_up_rejects_a_corrupted_result(sts7, monkeypatch, kept_on, message):
+    digraph, decomposition = sts7
+    emb = nth_state(digraph, decomposition, 55)
+    faces = {f.walk: f for f in emb.antifaces}
+    a = faces[(4, 22, 12, 32, 20, 24, 40, 16, 6, 26, 14)]
+    b = faces[(2, 36, 34, 10, 18, 38, 8)]
+    original = surgery_module.split_swap
+
+    def corrupting_split(*args):
+        result = original(*args)
+        result.kept = _FaceOn(kept_on)
+        return result
+
+    monkeypatch.setattr(surgery_module, "split_swap", corrupting_split)
+    with pytest.raises(EmbeddingError, match=message):
+        blow_up(emb, a, b, 2)
 
 
 def test_blow_up_no_op_branch(sts7):

@@ -4,6 +4,7 @@ import pytest
 
 from eulergenus import (
     CircuitDecomposition,
+    EmbeddingError,
     TouchGraph,
     TypeTable,
     build_touch_graph,
@@ -63,8 +64,27 @@ def test_touch_graph_accepts_a_precomputed_table(double_digon):
 
 def test_edge_count_must_equal_vertex_count():
     table = _Table(faces=[("a",), ("b",)], membership={0: (("a",),)})
-    with pytest.raises(AssertionError):
+    with pytest.raises(EmbeddingError, match="touch graph has 1 edges but the digraph has 2"):
         TouchGraph(table, 2)
+
+
+class _Vertices:
+    def __init__(self, vertices):
+        self.vertices = frozenset(vertices)
+
+    def vertex_set(self):
+        return self.vertices
+
+
+def test_a_private_vertex_needs_a_face_on_all_its_neighbours(tournament7):
+    # every vertex of the 7-tournament has 6 simple neighbours, so a face
+    # holding a private vertex must visit all 7 vertices
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 0)
+    table = _Table(faces=[("a",)], membership={v: (("a",),) for v in range(7)})
+    table.faces[("a",)] = _Vertices(range(3))
+    with pytest.raises(EmbeddingError, match="visits 3 vertices, fewer than 7"):
+        build_touch_graph(emb, table)
 
 
 def test_classification_of_a_shared_pair(double_digon):

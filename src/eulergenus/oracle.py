@@ -4,8 +4,15 @@ Fixing the profaces to a circuit decomposition C pins, at every vertex, the
 pairing of each incoming half-arc with the outgoing half-arc its circuit
 continues to.  What remains free is the cyclic arrangement of those pairs
 around each vertex, so the state space has exactly prod (indeg(v) - 1)!
-points.  Enumeration is lexicographic with the lowest pair anchored first,
-which makes the stream deterministic.
+points.  The lowest pair at each vertex is anchored first.
+
+:func:`iter_relative_embeddings` yields the states in lexicographic order,
+a deterministic stream that callers can index.  It builds an embedding per
+state anyway, so the order costs it nothing.  The tally in
+:func:`enumerate_relative_embeddings` visits the same states in a Gray
+order instead, where consecutive states differ by one swap of adjacent
+pairs at one vertex, so each state re-walks only the antifaces that swap
+touches.
 """
 
 from itertools import permutations, product
@@ -47,7 +54,11 @@ def _arrangements(pairs):
 
 
 def iter_relative_embeddings(digraph, decomposition, limit=10_000_000):
-    """Yield every embedding whose profaces are the given circuits."""
+    """Yield every embedding whose profaces are the given circuits.
+
+    The order is lexicographic in the arrangements, vertex 0 varying
+    slowest, and is kept stable because callers pick states by index.
+    """
     _check_feasible(digraph, decomposition, limit)
     options = [_arrangements(pairs) for pairs in _vertex_pairs(digraph, decomposition)]
     for combo in product(*options):
@@ -87,41 +98,129 @@ class OracleSummary:
         )
 
 
+def _sjt_swaps(k):
+    """Adjacent swaps that walk the k! orders of k items in plain changes.
+
+    Swap ``p`` exchanges the items at positions p and p + 1.  From any
+    order the k! - 1 swaps visit every order of the same items once
+    (Steinhaus-Johnson-Trotter): the largest item sweeps end to end, and
+    between sweeps the order of the other k - 1 items takes one step of
+    the same walk.  Each swap is its own inverse, so replaying the swaps
+    backwards walks the orders backwards, back to the start.
+    """
+    swaps = b""
+    for j in range(2, k + 1):
+        walk = bytearray()
+        for s in range(len(swaps) + 1):
+            to_front = s % 2 == 0
+            walk += bytes(range(j - 2, -1, -1) if to_front else range(j - 1))
+            if s < len(swaps):
+                # the others sit behind the largest item when it is in front
+                walk.append(swaps[s] + to_front)
+        swaps = bytes(walk)
+    return swaps
+
+
 def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
     """Tally antiface counts across all embeddings with profaces C.
 
-    Counting an antiface orbit needs only the successor map on outgoing
-    half-arcs, so states are processed on flat arrays without building
-    embedding objects.
+    Counting an antiface orbit needs only the successor map on arcs, so
+    states are processed on flat arrays without building embedding
+    objects.  The states are visited in reflected mixed-radix Gray order
+    (Knuth's loopless Algorithm H, TAOCP 7.2.1.1) with one digit per
+    vertex of in-degree at least 3, whose arrangements of non-anchor
+    pairs run in plain-changes order.  Each step thus swaps two adjacent
+    pairs at one vertex, which rewrites three successors; only the
+    antifaces through those three arcs are walked again, and the count
+    moves by the new orbits found less the old orbits they replace.
+    :func:`iter_relative_embeddings` keeps the lexicographic order.
     """
     states = _check_feasible(digraph, decomposition, limit)
-    options = [_arrangements(pairs) for pairs in _vertex_pairs(digraph, decomposition)]
     m = digraph.m
-    succ = [0] * (2 * m)  # succ[2a] = antiface departure after traversing arc a
-    distribution = {}
-    for combo in product(*options):
-        for arrangement in combo:
-            d = len(arrangement)
-            for i in range(d):
-                incoming = arrangement[i][1]
-                succ[incoming] = arrangement[(i + 1) % d][0]
-        seen = [False] * m
-        faces = 0
-        for a in range(m):
-            if seen[a]:
-                continue
-            faces += 1
-            b = a
-            while not seen[b]:
-                seen[b] = True
-                b = succ[2 * b + 1] >> 1
-        distribution[faces] = distribution.get(faces, 0) + 1
-    if m > 0:
-        parities = {count % 2 for count in distribution}
-        assert len(parities) == 1
-    summary = OracleSummary(distribution, states)
-    assert sum(distribution.values()) == states
-    return summary
+    nxt = [0] * m  # nxt[a] = the arc an antiface takes after arc a
+    digits = []  # (outs, ins, swaps) per vertex with a free arrangement
+    swaps_of = {}
+    for pairs in _vertex_pairs(digraph, decomposition):
+        d = len(pairs)
+        outs = [g >> 1 for g, _ in pairs]
+        ins = [h >> 1 for _, h in pairs]
+        for i in range(d):
+            nxt[ins[i]] = outs[(i + 1) % d]
+        if d >= 3:
+            if d not in swaps_of:
+                swaps_of[d] = _sjt_swaps(d - 1)
+            # the anchor repeated at the end closes the cycle for the swaps
+            digits.append((outs + outs[:1], ins + ins[:1], swaps_of[d]))
+    label = [-1] * m  # label[a] = the antiface orbit arc a lies on
+    fresh = 0
+    for a in range(m):
+        if label[a] < 0:
+            label[a] = fresh
+            b = nxt[a]
+            while b != a:
+                label[b] = fresh
+                b = nxt[b]
+            fresh += 1
+    faces = fresh
+    tally = [0] * (m + 1)
+    n = len(digits)
+    value = [0] * n
+    forward = [True] * n
+    focus = list(range(n + 1))
+    while True:
+        tally[faces] += 1
+        j = focus[0]
+        if j == n:
+            break
+        focus[0] = 0
+        outs, ins, swaps = digits[j]
+        if forward[j]:
+            p = swaps[value[j]] + 1
+            value[j] += 1
+            turn = value[j] == len(swaps)
+        else:
+            value[j] -= 1
+            p = swaps[value[j]] + 1
+            turn = value[j] == 0
+        if turn:
+            forward[j] = not forward[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+        # pairs B, C at p, p + 1 trade places between A before and D after
+        x, y, z = ins[p - 1], ins[p], ins[p + 1]
+        out_b, out_c = outs[p], outs[p + 1]
+        nxt[x] = out_c
+        nxt[z] = out_b
+        nxt[y] = outs[p + 2]
+        outs[p], outs[p + 1] = out_c, out_b
+        ins[p], ins[p + 1] = z, y
+        lx, ly, lz = label[x], label[y], label[z]
+        if lx == ly == lz:
+            old = 1
+        elif lx != ly and ly != lz and lx != lz:
+            old = 3
+        else:
+            old = 2
+        base = fresh
+        for a in (x, y, z):
+            if label[a] < base:
+                label[a] = fresh
+                b = nxt[a]
+                while b != a:
+                    label[b] = fresh
+                    b = nxt[b]
+                fresh += 1
+        faces += fresh - base - old
+    distribution = {count: k for count, k in enumerate(tally) if k}
+    if len({count % 2 for count in distribution}) != 1:
+        raise EmbeddingError(
+            f"antiface counts {sorted(distribution)} do not share one parity"
+        )
+    if sum(distribution.values()) != states:
+        raise EmbeddingError(
+            f"the tally visited {sum(distribution.values())} states, not {states}"
+        )
+    return OracleSummary(distribution, states)
 
 
 class CertificationResult:

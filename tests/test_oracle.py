@@ -1,6 +1,9 @@
 """Exhaustive state-space enumeration used to certify small instances."""
 
+from math import factorial, prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulergenus import (
     CircuitDecomposition,
@@ -16,8 +19,17 @@ from eulergenus import (
     reduce_to_upper_embedding,
     state_count,
 )
+from eulergenus import oracle
 
 from conftest import all_decompositions
+
+
+def _reference_tally(digraph, decomposition):
+    counts = {}
+    for emb in iter_relative_embeddings(digraph, decomposition):
+        c = emb.antiface_count()
+        counts[c] = counts.get(c, 0) + 1
+    return counts
 
 
 def test_state_count_is_a_product_of_factorials(tournament7, sts7):
@@ -113,11 +125,97 @@ def test_tally_matches_the_embedding_stream():
     digraph = Digraph(2, [(0, 1), (1, 0), (0, 0), (1, 1), (0, 1), (1, 0)])
     for decomposition in all_decompositions(digraph):
         summary = enumerate_relative_embeddings(digraph, decomposition)
-        counts = {}
-        for emb in iter_relative_embeddings(digraph, decomposition):
-            c = emb.antiface_count()
-            counts[c] = counts.get(c, 0) + 1
-        assert counts == summary.distribution
+        assert _reference_tally(digraph, decomposition) == summary.distribution
+
+
+STATE_CAP = 2000
+
+
+@st.composite
+def small_eulerian_instances(draw):
+    """A multidigraph built from closed walks, with a random decomposition.
+
+    A drawn walk is laid twice (parallel arcs) and a loop is always added;
+    walks that would lift an in-degree above 5 or the state count above
+    STATE_CAP are dropped.  Vertex n - 1 is isolated when asked.
+    """
+    busy = draw(st.integers(1, 4), label="busy")
+    n = busy + draw(st.booleans(), label="isolated")
+    loop = draw(st.integers(0, busy - 1), label="loop")
+    first = draw(st.lists(st.integers(0, busy - 1), min_size=1, max_size=3), label="first")
+    walks = [[loop], first, first] + draw(
+        st.lists(st.lists(st.integers(0, busy - 1), min_size=1, max_size=5), max_size=6),
+        label="walks",
+    )
+    indeg = [0] * n
+    arcs = []
+    for walk in walks:
+        grown = indeg[:]
+        for v in walk:
+            grown[v] += 1
+        states = prod(factorial(max(d - 1, 0)) for d in grown)
+        if max(grown) > 5 or states > STATE_CAP:
+            continue
+        indeg = grown
+        arcs += [(v, walk[(i + 1) % len(walk)]) for i, v in enumerate(walk)]
+    digraph = Digraph(n, arcs)
+    successor = {}
+    for v in range(n):
+        outs = draw(st.permutations(digraph.out_half_arcs(v)), label=f"pairing {v}")
+        for h, g in zip(digraph.in_half_arcs(v), outs):
+            successor[h >> 1] = g >> 1
+    circuits = []
+    left = set(range(digraph.m))
+    while left:
+        a = min(left)
+        walk = []
+        while a in left:
+            left.discard(a)
+            walk.append(a)
+            a = successor[a]
+        circuits.append(walk)
+    return digraph, CircuitDecomposition.from_arc_lists(digraph, circuits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_eulerian_instances())
+def test_gray_tally_matches_the_lexicographic_stream(instance):
+    digraph, decomposition = instance
+    summary = enumerate_relative_embeddings(digraph, decomposition)
+    assert summary.distribution == _reference_tally(digraph, decomposition)
+    assert summary.states == state_count(digraph)
+
+
+def test_tally_without_arcs():
+    digraph = Digraph(1, [])
+    decomposition = CircuitDecomposition(digraph, [])
+    summary = enumerate_relative_embeddings(digraph, decomposition)
+    assert summary.distribution == {0: 1} == _reference_tally(digraph, decomposition)
+    assert summary.states == 1
+
+
+def test_tally_raises_when_it_misses_the_state_count(monkeypatch, tournament7):
+    digraph, decomposition = tournament7
+    real = oracle.state_count
+    monkeypatch.setattr(oracle, "state_count", lambda d: real(d) + 1)
+    with pytest.raises(EmbeddingError, match="the tally visited 128 states, not 129"):
+        enumerate_relative_embeddings(digraph, decomposition)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_plain_change_swaps_visit_every_order_once(k):
+    swaps = oracle._sjt_swaps(k)
+    assert len(swaps) == factorial(k) - 1
+    order = list(range(k))
+    seen = {tuple(order)}
+    for p in swaps:
+        assert 0 <= p < k - 1  # one adjacent transposition
+        order[p], order[p + 1] = order[p + 1], order[p]
+        seen.add(tuple(order))
+    assert len(seen) == factorial(k)
+    for p in reversed(swaps):
+        order[p], order[p + 1] = order[p + 1], order[p]
+    assert order == list(range(k))
 
 
 def test_certify_a_reduced_tournament(tournament7):

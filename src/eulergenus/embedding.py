@@ -46,10 +46,7 @@ class FaceWalk:
     __slots__ = ("walk", "color", "corners", "_vset", "_walk_set")
 
     def __init__(self, digraph, walk, color):
-        walk = tuple(walk)
-        i = walk.index(min(walk))
-        walk = walk[i:] + walk[:i]
-        self.walk = walk
+        self.walk = walk = least_first(tuple(walk))
         self.color = color
         self.corners = tuple(digraph.head(h >> 1) for h in walk)
         self._vset = frozenset(self.corners)
@@ -69,7 +66,13 @@ class FaceWalk:
 
     @property
     def key(self):
-        return self.walk
+        """The least outgoing half-arc on the walk, which starts it.
+
+        Antifaces share no arc, so their keys are distinct and order them as
+        their walks do.  A key names the same face only while no surgery
+        touches it: a merged face keeps the least key of its inputs.
+        """
+        return self.walk[0]
 
     def __len__(self):
         return len(self.walk)
@@ -251,15 +254,37 @@ class OrientedDirectedEmbedding:
     def antifaces(self):
         return self._trace()[1]
 
-    def antiface(self, key):
-        """The antiface whose canonical walk is ``key``."""
+    def antiface_index(self):
+        """``(faces, membership)``: antiface key to face, and vertex to the
+        ascending keys of its antifaces; built once, in one pass."""
         index = self._antiface_index
         if index is None:
-            index = self._antiface_index = {f.key: f for f in self.antifaces}
-        face = index.get(key)
+            faces = {}
+            membership = {}
+            for face in self.antifaces:
+                key = face.walk[0]
+                faces[key] = face
+                for v in face._vset:
+                    membership.setdefault(v, []).append(key)
+            index = self._antiface_index = (
+                faces, {v: tuple(keys) for v, keys in membership.items()}
+            )
+        return index
+
+    def antiface(self, key):
+        """The antiface whose least outgoing half-arc is ``key``."""
+        face = self.antiface_index()[0].get(key)
         if face is None:
-            raise EmbeddingError(f"face with walk {key} is not an antiface of this embedding")
+            raise EmbeddingError(f"face with key {key} is not an antiface of this embedding")
         return face
+
+    def own_antiface(self, face):
+        """This embedding's antiface equal to ``face``; raises EmbeddingError
+        for a proface or a face a surgery has since replaced."""
+        found = self.antiface_index()[0].get(face.key)
+        if found is not face and found != face:
+            raise EmbeddingError(f"face with key {face.key} is not an antiface of this embedding")
+        return found
 
     def antiface_count(self):
         return len(self.antifaces)
@@ -353,16 +378,8 @@ class OrientedDirectedEmbedding:
             raise EmbeddingError(
                 "spliced antifaces do not cover exactly the arcs they replace"
             )
-        self._faces = (profaces, tuple(sorted(kept + joined, key=lambda f: f.walk)))
+        self._faces = (profaces, tuple(sorted(kept + joined, key=lambda f: f.walk[0])))
         self._derived = True
-        index = parent._antiface_index
-        if index is not None:
-            index = dict(index)
-            for face in touched:
-                del index[face.key]
-            for face in joined:
-                index[face.key] = face
-            self._antiface_index = index
 
     def to_json_dict(self):
         return {"rotations": [list(rot) for rot in self.rotations]}
@@ -386,6 +403,12 @@ class OrientedDirectedEmbedding:
 
     def __repr__(self):
         return f"OrientedDirectedEmbedding(n={self.digraph.n}, m={self.digraph.m})"
+
+
+def least_first(walk):
+    """A closed walk rotated to start at its least half-arc."""
+    i = walk.index(min(walk))
+    return walk[i:] + walk[:i]
 
 
 def _block_successors(rotation):

@@ -14,7 +14,8 @@ class HypothesisError(RuntimeError):
 
 
 class LocalIrreducibilityError(HypothesisError):
-    """Some vertex lies on three or more antifaces."""
+    """Some vertex lies on three or more antifaces; ``faces`` holds the
+    ascending keys of all the antifaces at ``vertex``."""
 
     def __init__(self, vertex, faces):
         self.vertex = vertex

@@ -8,28 +8,25 @@ what merge_interlaced consumes.  Searches are deterministic: all scans run
 in ascending position or vertex order.
 """
 
-from collections import Counter
-from itertools import chain
-
 from .digraph import density_profile, underlying_simple_graph
 from .errors import EmbeddingError, GraphError, HypothesisError, LocalIrreducibilityError
 
 
 class TypeTable:
-    """Per-vertex antiface membership of a locally irreducible embedding."""
+    """Per-vertex antiface membership of a locally irreducible embedding.
+
+    ``faces`` and ``membership`` are the embedding's own, read-only
+    ``antiface_index``; ``LocalIrreducibilityError`` names the lowest
+    vertex on three or more antifaces.
+    """
 
     __slots__ = ("faces", "membership")
 
     def __init__(self, embedding):
-        self.faces = {f.key: f for f in embedding.antifaces}
-        membership = {}
-        for key in sorted(self.faces):
-            for v in self.faces[key].vertex_set():
-                membership.setdefault(v, []).append(key)
-        for v in sorted(membership):
-            if len(membership[v]) > 2:
-                raise LocalIrreducibilityError(v, membership[v])
-        self.membership = {v: tuple(keys) for v, keys in membership.items()}
+        self.faces, self.membership = embedding.antiface_index()
+        crowded = min((v for v, keys in self.membership.items() if len(keys) > 2), default=None)
+        if crowded is not None:
+            raise LocalIrreducibilityError(crowded, self.membership[crowded])
 
     def faces_at(self, v):
         return self.membership.get(v, ())
@@ -77,14 +74,12 @@ class InterlacingCertificate:
 
 def find_vertex_on_three_antifaces(embedding):
     """Lowest vertex lying on three or more antifaces, with its three
-    lowest-walk faces; None when the embedding is locally irreducible."""
-    antifaces = embedding.antifaces
-    counts = Counter(chain.from_iterable(f.vertex_set() for f in antifaces))
-    v = min((u for u, count in counts.items() if count >= 3), default=None)
+    lowest-key faces; None when the embedding is locally irreducible."""
+    faces, membership = embedding.antiface_index()
+    v = min((u for u, keys in membership.items() if len(keys) > 2), default=None)
     if v is None:
         return None
-    # antifaces are sorted by walk, so the first three at v are the lowest
-    return v, tuple(f for f in antifaces if f.visits(v))[:3]
+    return v, tuple(faces[key] for key in membership[v][:3])
 
 
 def usg_walk(face):
@@ -130,7 +125,7 @@ def three_neighbor_search(embedding, face, candidates, table=None):
     cross-type candidate.
     """
     table = table if table is not None else TypeTable(embedding)
-    face = embedding.antiface(face.key)
+    face = embedding.own_antiface(face)
     chosen = sorted(set(candidates))
     if not chosen:
         raise HypothesisError("candidate set is empty")
@@ -187,7 +182,7 @@ def diamond_search(embedding, face, t, u, v, x, table=None):
     otherwise u.
     """
     table = table if table is not None else TypeTable(embedding)
-    face = embedding.antiface(face.key)
+    face = embedding.own_antiface(face)
     if len({t, u, v}) != 3:
         raise HypothesisError("path vertices must be three distinct vertices")
     second = {w: table.partner(w, face.key) for w in (t, u, v)}
@@ -241,19 +236,15 @@ def check_three_neighbor_corollary(embedding, face, table=None):
     each other antiface claims at most all-but-(k + 3) of them.  Returns a
     certificate or None when the margin fails."""
     table = table if table is not None else TypeTable(embedding)
-    face = embedding.antiface(face.key)
+    face = embedding.own_antiface(face)
     profile = density_profile(embedding.digraph)
     k = profile.k
     pool = table.two_face_vertices(face.key)
     if not pool:
         return None
-    largest_overlap = 0
-    for other_key in table.faces:
-        if other_key == face.key:
-            continue
-        overlap = len(table.common_vertices(face.key, other_key))
-        largest_overlap = max(largest_overlap, overlap)
-    if len(pool) - largest_overlap < k + 3:
+    # a pool vertex lies on exactly one other face, so overlaps count partners
+    partners = [table.partner(v, face.key) for v in pool]
+    if len(pool) - max(map(partners.count, set(partners))) < k + 3:
         return None
     return three_neighbor_search(embedding, face, pool, table)
 
@@ -263,9 +254,9 @@ def check_big_moderate(embedding, face_a, face_b, face_c, table=None):
     moderately large partners force an interlaced pair on the big face.
     Returns a certificate or None when a size hypothesis fails."""
     table = table if table is not None else TypeTable(embedding)
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
-    c = embedding.antiface(face_c.key)
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
+    c = embedding.own_antiface(face_c)
     if len({a.key, b.key, c.key}) != 3:
         return None
     profile = density_profile(embedding.digraph)
@@ -290,8 +281,8 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
     diamond_search on whichever face carries both path edges.
     """
     table = table if table is not None else TypeTable(embedding)
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
     if a.key == b.key:
         return None
     profile = density_profile(embedding.digraph)

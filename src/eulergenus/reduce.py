@@ -171,6 +171,16 @@ class _Reducer:
             return result.kept, result.merged
         return split, partner
 
+    def shape_after_blow_up(self, blown):
+        """Type table, touch graph and shape after a blow up of ``blown``."""
+        table = TypeTable(self.emb)
+        touch = build_touch_graph(self.emb, table)
+        shape = classify(touch)
+        # blowing up touches only the two faces involved, so new loops are theirs
+        if not set(shape.loop_nodes) <= {f.key for f in blown}:
+            raise EmbeddingError("a loop appeared on a face the blow up did not touch")
+        return table, touch, shape
+
     def merge_reducible_vertex(self, case="1"):
         """Inline case-1 merge; True when one was available and applied."""
         hit = find_vertex_on_three_antifaces(self.emb)
@@ -279,14 +289,11 @@ class _Reducer:
         third_key = next(
             key for key in touch.nodes if key not in (center_key, partner_key)
         )
+        partner = self.emb.antiface(partner_key)
         new1, new2 = self.blow(center_key, third_key, "2.2")
         if self.merge_reducible_vertex():
             return
-        table2 = TypeTable(self.emb)
-        touch2 = build_touch_graph(self.emb, table2)
-        shape2 = classify(touch2)
-        # blowing up touches only the two faces involved, so new loops are theirs
-        assert set(shape2.loop_nodes) <= {new1.key, new2.key}
+        table2, touch2, shape2 = self.shape_after_blow_up((new1, new2))
         if not shape2.loop_nodes:
             return  # the next iteration lands in a merging case
         looped_key = min(
@@ -295,11 +302,7 @@ class _Reducer:
         )
         other = new1 if looped_key == new2.key else new2
         cert = check_big_moderate(
-            self.emb,
-            self.emb.antiface(looped_key),
-            self.emb.antiface(partner_key),
-            self.emb.antiface(other.key),
-            table2,
+            self.emb, self.emb.antiface(looped_key), partner, other, table2
         )
         if cert is None:
             self.fail("case 2.2: size hypotheses fail after the blow up")
@@ -321,17 +324,11 @@ class _Reducer:
         if triple is None:
             self.fail("case 3.1: no blow-up triple among the looped faces")
         loop_key, partner_key, anchor_key = triple
+        anchor = self.emb.antiface(anchor_key)
         new1, new2 = self.blow(loop_key, partner_key, "3.1")
         if self.merge_reducible_vertex():
             return
-        table2 = TypeTable(self.emb)
-        cert = check_big_moderate(
-            self.emb,
-            self.emb.antiface(anchor_key),
-            self.emb.antiface(new1.key),
-            self.emb.antiface(new2.key),
-            table2,
-        )
+        cert = check_big_moderate(self.emb, anchor, new1, new2, TypeTable(self.emb))
         if cert is None:
             self.fail("case 3.1: size hypotheses fail after the blow up")
         self.merge_cert(cert, "3.1")
@@ -344,18 +341,11 @@ class _Reducer:
         ]
         if not candidates:
             self.fail("case 3.2.1: no third face adjacent to the neighbor")
-        third_key = candidates[0]
-        new1, new2 = self.blow(partner_key, third_key, "3.2.1")
+        loop = self.emb.antiface(loop_key)
+        new1, new2 = self.blow(partner_key, candidates[0], "3.2.1")
         if self.merge_reducible_vertex():
             return
-        table2 = TypeTable(self.emb)
-        cert = check_big_moderate(
-            self.emb,
-            self.emb.antiface(loop_key),
-            self.emb.antiface(new1.key),
-            self.emb.antiface(new2.key),
-            table2,
-        )
+        cert = check_big_moderate(self.emb, loop, new1, new2, TypeTable(self.emb))
         if cert is None:
             self.fail("case 3.2.1: size hypotheses fail after the blow up")
         self.merge_cert(cert, "3.2.1")
@@ -365,10 +355,7 @@ class _Reducer:
         new1, new2 = self.blow(loop_key, partner_key, "3.2.2")
         if self.merge_reducible_vertex():
             return
-        table2 = TypeTable(self.emb)
-        touch2 = build_touch_graph(self.emb, table2)
-        shape2 = classify(touch2)
-        assert set(shape2.loop_nodes) <= {new1.key, new2.key}
+        _, touch2, shape2 = self.shape_after_blow_up((new1, new2))
         if len(shape2.loop_nodes) != 1:
             return  # no loops or two loops: an earlier case handles it next
         looped_key = shape2.loop_nodes[0]
@@ -382,10 +369,7 @@ class _Reducer:
         next1, next2 = self.blow(looped_key, candidates[0], "3.2.2")
         if self.merge_reducible_vertex():
             return
-        table3 = TypeTable(self.emb)
-        touch3 = build_touch_graph(self.emb, table3)
-        shape3 = classify(touch3)
-        assert set(shape3.loop_nodes) <= {next1.key, next2.key}
+        table3, touch3, shape3 = self.shape_after_blow_up((next1, next2))
         if not shape3.loop_nodes:
             return
         final_key = min(
@@ -394,11 +378,7 @@ class _Reducer:
         )
         other = next1 if final_key == next2.key else next2
         cert = check_big_moderate(
-            self.emb,
-            self.emb.antiface(final_key),
-            self.emb.antiface(sibling.key),
-            self.emb.antiface(other.key),
-            table3,
+            self.emb, self.emb.antiface(final_key), sibling, other, table3
         )
         if cert is None:
             self.fail("case 3.2.2: size hypotheses fail after the blow ups")

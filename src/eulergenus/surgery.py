@@ -14,16 +14,18 @@ operation checks its own postconditions on those faces and raises
 from fractions import Fraction
 
 from .digraph import density_profile
-from .embedding import FaceWalk
-from .errors import EmbeddingError, HypothesisError, LocalIrreducibilityError
+from .embedding import least_first
+from .errors import EmbeddingError, HypothesisError
+from .interlace import TypeTable
 
 
 class SurgeryResult:
     """Outcome of one surgery: the new embedding plus face bookkeeping.
 
-    ``face_map`` sends each input antiface key to a face of the new
+    ``face_map`` sends the key of each input antiface to a face of the new
     embedding: merges send all inputs to the merged face; splits send the
-    split face to its kept part and the partner to the merged part.
+    split face to its kept part and the partner to the merged part.  A new
+    face may carry an input's key, so look inputs up here, not there.
     """
 
     __slots__ = ("embedding", "face_map", "merged", "kept", "kept_part", "changed", "branch")
@@ -85,6 +87,26 @@ def _rewire_three(embedding, v, h1, h2, h3):
     return embedding.with_rotation(v, rotation)
 
 
+def _created_antifaces(embedding, new_embedding, inputs, v, operation):
+    """Antifaces of ``new_embedding`` that are not antifaces of ``embedding``.
+
+    Raises unless the profaces and every antiface but ``inputs`` survive
+    as the same object or an equal walk; a created face keeps an input's key.
+    """
+    if new_embedding.profaces != embedding.profaces:
+        raise EmbeddingError(f"{operation} at vertex {v} changed the profaces")
+    old_faces = embedding.antiface_index()[0]
+    gone = {f.key for f in inputs}
+    created = []
+    for face in new_embedding.antifaces:
+        old = old_faces.get(face.key)
+        if old is None or face.key in gone or (old is not face and old != face):
+            created.append(face)
+    if len(new_embedding.antifaces) - len(created) != len(old_faces) - len(gone):
+        raise EmbeddingError(f"{operation} at vertex {v} changed an antiface it did not touch")
+    return created
+
+
 def _arrival_at(digraph, face, v):
     """Lowest incoming half-arc on which the face reaches v."""
     arcs = face.walk_set
@@ -96,25 +118,18 @@ def _arrival_at(digraph, face, v):
 
 def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
     """Merge three antifaces meeting at v into one; count drops by two."""
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
-    c = embedding.antiface(face_c.key)
-    keys = {a.key, b.key, c.key}
-    if len(keys) != 3:
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
+    c = embedding.own_antiface(face_c)
+    if len({a.key, b.key, c.key}) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
     chosen = sorted(_arrival_at(embedding.digraph, f, v) for f in (a, b, c))
     new_embedding = _rewire_three(embedding, v, *chosen)
 
-    old_keys = {f.key for f in embedding.antifaces}
-    new_faces = {f.key: f for f in new_embedding.antifaces}
-    if new_embedding.profaces != embedding.profaces:
-        raise EmbeddingError(f"merge at vertex {v} changed the profaces")
-    created = set(new_faces) - old_keys
-    if len(created) != 1 or set(new_faces) != (old_keys - keys) | created:
-        raise EmbeddingError(
-            f"merge at vertex {v} did not replace three antifaces by one"
-        )
-    merged = new_faces[created.pop()]
+    created = _created_antifaces(embedding, new_embedding, (a, b, c), v, "merge")
+    if len(created) != 1:
+        raise EmbeddingError(f"merge at vertex {v} did not replace three antifaces by one")
+    (merged,) = created
     # no arc repeats on a face, so equal lengths and equal arc sets mean
     # the merged walk holds exactly the arcs of the three inputs
     arcs = merged.walk_set
@@ -137,8 +152,8 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     clockwise rotation at v and reported, never assumed: ``kept_part`` names
     the part that stayed a face of its own.  The antiface count is unchanged.
     """
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
     if a.key == b.key:
         raise EmbeddingError("split and partner antifaces must be distinct")
     size = len(a.walk)
@@ -182,20 +197,15 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     kept_part = 3 - merged_part
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
-    new_faces = {f.key: f for f in new_embedding.antifaces}
-    if new_embedding.profaces != embedding.profaces:
-        raise EmbeddingError(f"split at vertex {v} changed the profaces")
-    merged_key = FaceWalk(embedding.digraph, merged_walk, "anti").key
-    kept_key = FaceWalk(embedding.digraph, kept_walk, "anti").key
-    old_keys = {f.key for f in embedding.antifaces}
-    if (len(new_faces) != len(old_keys)
-            or set(new_faces) != (old_keys - {a.key, b.key}) | {merged_key, kept_key}):
+    created = _created_antifaces(embedding, new_embedding, (a, b), v, "split")
+    merged_walk = least_first(merged_walk)
+    kept_walk = least_first(kept_walk)
+    # the predicted walks share no arc, so they sort by key as faces do
+    if [f.walk for f in created] != sorted((merged_walk, kept_walk)):
         raise EmbeddingError(
             f"split at vertex {v} did not yield the predicted kept and merged antifaces"
         )
-
-    merged = new_faces[merged_key]
-    kept = new_faces[kept_key]
+    merged, kept = created if created[0].walk == merged_walk else created[::-1]
     face_map = {a.key: kept, b.key: merged}
     return SurgeryResult(new_embedding, face_map, merged=merged, kept=kept,
                          kept_part=kept_part)
@@ -208,9 +218,9 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     y also on C.  A is split at the two x corners, one part swallows B, and
     the three faces now at y are merged.  Net antiface count drops by two.
     """
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
-    c = embedding.antiface(face_c.key)
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
+    c = embedding.own_antiface(face_c)
     if len({a.key, b.key, c.key}) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
     if x == y:
@@ -231,7 +241,7 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     piece2 = first.kept
     if not (piece1.visits(y) and piece2.visits(y)):
         raise EmbeddingError(f"split at vertex {x} left a piece off vertex {y}")
-    c_now = first.embedding.antiface(c.key)
+    c_now = first.embedding.own_antiface(c)
     second = merge_three_at_vertex(first.embedding, y, piece1, piece2, c_now)
 
     merged = second.merged
@@ -338,9 +348,9 @@ def blow_up(embedding, face_a, face_b, x):
     digraph = embedding.digraph
     profile = density_profile(digraph)
     n, k = profile.n, profile.k
-    _require_locally_irreducible(embedding)
-    a = embedding.antiface(face_a.key)
-    b = embedding.antiface(face_b.key)
+    TypeTable(embedding)  # raises LocalIrreducibilityError
+    a = embedding.own_antiface(face_a)
+    b = embedding.own_antiface(face_b)
     if a.key == b.key:
         raise HypothesisError("the two antifaces must be distinct")
     if not (a.visits(x) and b.visits(x)):
@@ -416,12 +426,3 @@ def blow_up(embedding, face_a, face_b, x):
         raise EmbeddingError("blow-up changed the vertices the two faces cover")
     return result
 
-
-def _require_locally_irreducible(embedding):
-    on_faces = {}
-    for f in embedding.antifaces:
-        for v in f.vertex_set():
-            on_faces.setdefault(v, []).append(f)
-    for v in sorted(on_faces):
-        if len(on_faces[v]) > 2:
-            raise LocalIrreducibilityError(v, [f.key for f in on_faces[v]])

@@ -13,11 +13,13 @@ from .interlace import TypeTable
 
 
 class TouchGraph:
-    """Multigraph of antiface adjacency induced by shared vertices."""
+    """Multigraph of antiface adjacency induced by shared vertices; its
+    nodes are antiface keys and ``faces`` maps each one to its face."""
 
-    __slots__ = ("nodes", "loops", "links", "_neighbors")
+    __slots__ = ("faces", "nodes", "loops", "links", "_neighbors")
 
     def __init__(self, table, n):
+        self.faces = table.faces
         self.nodes = tuple(sorted(table.faces))
         loops = {key: [] for key in self.nodes}
         links = {}
@@ -27,11 +29,10 @@ class TouchGraph:
                 loops[keys[0]].append(v)
             else:
                 links.setdefault(keys, []).append(v)
-        edges = sum(len(vs) for vs in loops.values()) + \
-            sum(len(vs) for vs in links.values())
-        if edges != n:
+        # each vertex is one loop or one link
+        if len(table.membership) != n:
             raise EmbeddingError(
-                f"touch graph has {edges} edges but the digraph has {n} vertices"
+                f"touch graph has {len(table.membership)} edges but the digraph has {n} vertices"
             )
         self.loops = {key: tuple(vs) for key, vs in loops.items()}
         self.links = {pair: tuple(vs) for pair, vs in links.items()}
@@ -143,7 +144,7 @@ def touch_graph_dot(touch):
     lines = ["graph touch {"]
     for key in touch.nodes:
         i = index[key]
-        lines.append(f'  f{i} [label="face {i} ({len(key)} arcs)"];')
+        lines.append(f'  f{i} [label="face {i} ({len(touch.faces[key])} arcs)"];')
     for key in touch.nodes:
         loops = touch.loops[key]
         if loops:

@@ -136,17 +136,21 @@ def test_antiface_lookup_by_key():
     emb = _random_start(digraph, random.Random(5))
     for face in emb.antifaces:
         assert emb.antiface(face.key) is face
-    proface = emb.profaces[0]
+        assert emb.own_antiface(face) is face
+    # an incoming half-arc starts no walk
     with pytest.raises(EmbeddingError, match="is not an antiface of this embedding"):
-        emb.antiface(proface.key)
+        emb.antiface(1)
+    with pytest.raises(EmbeddingError, match="is not an antiface of this embedding"):
+        emb.own_antiface(emb.profaces[0])
     ins = [h for _, h in emb.blocks_at(1)]
     child = _rewire_three(emb, 1, *ins[:3])
     for face in child.antifaces:
         assert child.antiface(face.key) is face
     gone = [f for f in emb.antifaces if f not in child.antifaces]
+    assert gone
     for face in gone:
         with pytest.raises(EmbeddingError):
-            child.antiface(face.key)
+            child.own_antiface(face)
 
 
 def _fake_parent(emb, faces):

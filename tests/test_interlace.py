@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulergenus import (
+    CircuitDecomposition,
     Digraph,
     FaceWalk,
     GraphError,
@@ -14,19 +16,24 @@ from eulergenus import (
     LocalIrreducibilityError,
     OrientedDirectedEmbedding,
     TypeTable,
+    blow_up,
     check_big_moderate,
     check_diamond_corollary,
     check_three_neighbor_corollary,
     density_profile,
+    embed_from_decomposition,
+    euler_circuit,
     extract_dense_subgraph,
     find_vertex_on_three_antifaces,
+    gen_rotational_tournament,
     iter_relative_embeddings,
+    merge_three_at_vertex,
     three_neighbor_search,
     usg_walk,
 )
 from eulergenus.interlace import walk_edge_pairs
 
-from conftest import nth_state
+from conftest import circulant, nth_state
 
 
 def test_type_table_records_membership(double_digon):
@@ -42,7 +49,7 @@ def test_type_table_records_membership(double_digon):
     assert table.two_face_vertices(a) == (0, 1)
     assert table.partner(0, a) == b
     with pytest.raises(Exception, match="does not lie on the given face"):
-        table.partner(0, (99,))
+        table.partner(0, 99)
 
 
 def test_type_table_rejects_a_three_face_vertex(three_loops):
@@ -67,6 +74,91 @@ def test_find_vertex_none_when_locally_irreducible(double_digon):
     digraph, decomposition = double_digon
     emb = nth_state(digraph, decomposition, 0)
     assert find_vertex_on_three_antifaces(emb) is None
+
+
+def _reference_find_three(embedding):
+    """The lowest vertex on three antifaces and its first three, by counting."""
+    antifaces = embedding.antifaces
+    counts = Counter(itertools.chain.from_iterable(f.vertex_set() for f in antifaces))
+    v = min((u for u, count in counts.items() if count >= 3), default=None)
+    if v is None:
+        return None
+    return v, tuple(f for f in antifaces if f.visits(v))[:3]
+
+
+def _reference_on_faces(embedding):
+    """Each vertex's antifaces in walk order, gathered face by face."""
+    on_faces = {}
+    for f in sorted(embedding.antifaces, key=lambda f: f.walk):
+        for v in f.vertex_set():
+            on_faces.setdefault(v, []).append(f)
+    return on_faces
+
+
+def _shuffled(rng, embedding, v):
+    blocks = list(embedding.blocks_at(v))
+    rng.shuffle(blocks)
+    return [h for block in blocks for h in block]
+
+
+def _membership_starts():
+    """Seeded starts: tournament states, then random block orders on
+    circulants and bouquets of loops, each climbed to more antifaces."""
+    rng = random.Random(11)
+    digraph = gen_rotational_tournament(7)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    starts = [nth_state(digraph, decomposition, i) for i in sorted(rng.sample(range(128), 6))]
+    graphs = [circulant(7, (1, 2, 3)), circulant(9, (1, 2, 4)), circulant(11, (1, 3, 4))]
+    graphs += [Digraph(1, [(0, 0)] * loops) for loops in (5, 6, 7)]
+    for digraph in graphs:
+        canonical = embed_from_decomposition(
+            digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)])
+        )
+        for _ in range(4):
+            rotations = [_shuffled(rng, canonical, v) for v in range(digraph.n)]
+            starts.append(OrientedDirectedEmbedding(digraph, rotations))
+    for emb in starts:
+        yield emb
+        for _ in range(40):
+            v = rng.randrange(emb.digraph.n)
+            child = emb.with_rotation(v, _shuffled(rng, emb, v))
+            if len(child.antifaces) > len(emb.antifaces):
+                emb = child
+        yield emb
+
+
+def test_one_membership_structure_matches_the_reference_scans():
+    checked_irreducible = 0
+    crowded = Counter()
+    for emb in _membership_starts():
+        while True:
+            anti = emb.antifaces
+            keys = [f.key for f in anti]
+            assert len(set(keys)) == len(keys)
+            assert list(anti) == sorted(anti, key=lambda f: f.walk)
+            assert keys == sorted(keys)
+            on_faces = _reference_on_faces(emb)
+            reference = {v: tuple(f.key for f in fs) for v, fs in on_faces.items()}
+            assert emb.antiface_index()[1] == reference
+            hit = find_vertex_on_three_antifaces(emb)
+            want = _reference_find_three(emb)
+            if want is None:
+                assert hit is None
+                assert TypeTable(emb).membership == reference
+                checked_irreducible += 1
+                break
+            assert hit[0] == want[0]
+            crowded[len(reference[want[0]])] += 1
+            assert len(hit[1]) == 3 and all(got is ref for got, ref in zip(hit[1], want[1]))
+            for attempt in (lambda: TypeTable(emb),
+                            lambda: blow_up(emb, anti[0], anti[1], 0)):
+                with pytest.raises(LocalIrreducibilityError) as err:
+                    attempt()
+                assert err.value.vertex == want[0]
+                assert err.value.faces == reference[want[0]]
+            emb = merge_three_at_vertex(emb, hit[0], *hit[1]).embedding
+    assert checked_irreducible == 60
+    assert crowded[3] and sum(crowded.values()) > crowded[3]
 
 
 def test_usg_walk_collapses_consecutive_repeats():

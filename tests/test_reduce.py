@@ -215,6 +215,29 @@ def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
         reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=True)
 
 
+def test_a_loop_off_the_blown_up_faces_raises(circ11, monkeypatch):
+    """Keys are reused across surgeries, so a loop on a face the blow up did
+    not touch is an error, also under ``-O``."""
+    from eulergenus import reduce as reduce_module
+
+    real_classify = reduce_module.classify
+    shapes = []
+
+    def foreign_loops(touch):
+        shape = real_classify(touch)
+        shapes.append(shape)
+        if len(shapes) == 2:  # the shape read right after the first blow up
+            shape.loop_nodes = touch.nodes
+        return shape
+
+    monkeypatch.setattr(reduce_module, "classify", foreign_loops)
+    digraph, decomposition = circ11
+    emb = nth_state(digraph, decomposition, 108)  # case 3.2.2, no merge after the blow up
+    with pytest.raises(EmbeddingError, match="a face the blow up did not touch"):
+        reduce_embedding(emb, decomposition)
+    assert len(shapes) == 2
+
+
 def test_reduce_embedding_guards_the_profaces(double_digon, four_loops):
     digraph, decomposition = double_digon
     other = CircuitDecomposition.from_arc_lists(digraph, [[0, 3], [2, 1]])

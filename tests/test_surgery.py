@@ -17,6 +17,9 @@ from eulergenus import (
     LocalIrreducibilityError,
     OrientedDirectedEmbedding,
     blow_up,
+    check_big_moderate,
+    check_diamond_corollary,
+    check_three_neighbor_corollary,
     density_profile,
     division_search,
     find_vertex_on_three_antifaces,
@@ -87,10 +90,10 @@ def _corrupt_derived_faces(monkeypatch, corrupt):
     def splice(self, parent, v, old_next, new_next):
         original(self, parent, v, old_next, new_next)
         profaces, antifaces = self._faces
-        old = {f.key for f in parent.antifaces}
-        faces = [f if f.key in old else corrupt(f, parent) for f in antifaces]
+        # a new face may keep an input's key, so pick the new faces by walk
+        old = {f.walk for f in parent.antifaces}
+        faces = [f if f.walk in old else corrupt(f, parent) for f in antifaces]
         self._faces = (profaces, tuple(sorted(faces, key=lambda f: f.walk)))
-        self._antiface_index = None
 
     monkeypatch.setattr(OrientedDirectedEmbedding, "_splice_antifaces", splice)
 
@@ -126,6 +129,79 @@ def test_split_swap_rejects_a_corrupted_merged_face(four_loops, monkeypatch):
     _corrupt_derived_faces(monkeypatch, _foreign_last_arc)
     with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
         split_swap(emb, 0, a, cut1, cut2, b)
+
+
+def _reverse_after_first_arc(face, parent):
+    # same least arc and arc set, so only a whole-walk comparison notices
+    walk = face.walk[:1] + face.walk[:0:-1]
+    corners = face.corners[:1] + face.corners[:0:-1]
+    return FaceWalk._joined(walk, corners, "anti")
+
+
+def test_split_swap_rejects_a_reordered_merged_face(four_loops, monkeypatch):
+    digraph, decomposition = four_loops
+    emb = nth_state(digraph, decomposition, 0)
+    a, b = emb.antifaces
+    cut1, cut2 = a.corner_positions(0)[:2]
+    merged = split_swap(emb, 0, a, cut1, cut2, b).merged
+    assert len(merged) >= 3  # reversing a walk of two arcs keeps its cyclic order
+    _corrupt_derived_faces(
+        monkeypatch,
+        lambda face, parent: (_reverse_after_first_arc(face, parent)
+                              if face.walk == merged.walk else face),
+    )
+    with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
+        split_swap(emb, 0, a, cut1, cut2, b)
+
+
+def test_merge_three_rejects_a_reordered_untouched_face(tournament7, monkeypatch):
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 24)
+    v, inputs = find_vertex_on_three_antifaces(emb)
+    untouched = next(f for f in emb.antifaces if f not in inputs and len(f) >= 3)
+    original = OrientedDirectedEmbedding._splice_antifaces
+
+    def splice(self, parent, v, old_next, new_next):
+        original(self, parent, v, old_next, new_next)
+        profaces, antifaces = self._faces
+        faces = [_reverse_after_first_arc(f, parent) if f is untouched else f
+                 for f in antifaces]
+        self._faces = (profaces, tuple(faces))
+
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_splice_antifaces", splice)
+    with pytest.raises(EmbeddingError, match="changed an antiface it did not touch"):
+        merge_three_at_vertex(emb, v, *inputs)
+
+
+def _stale_face_calls(child, face, other):
+    """Every surgery and check that takes antifaces, handed one foreign face."""
+    return (
+        lambda: split_swap(child, 0, face, 0, 1, other),
+        lambda: split_swap(child, 0, other, 0, 1, face),
+        lambda: merge_three_at_vertex(child, 0, face, other, other),
+        lambda: merge_three_at_vertex(child, 0, other, other, face),
+        lambda: check_big_moderate(child, face, other, other),
+        lambda: check_big_moderate(child, other, other, face),
+        lambda: check_three_neighbor_corollary(child, face),
+        lambda: check_diamond_corollary(child, other, face),
+        lambda: blow_up(child, face, other, 0),
+        lambda: blow_up(child, other, face, 0),
+    )
+
+
+def test_stale_and_foreign_faces_are_rejected(tournament7):
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 0)
+    v, inputs = find_vertex_on_three_antifaces(emb)
+    result = merge_three_at_vertex(emb, v, *inputs)
+    child, merged = result.embedding, result.merged
+    # the merged face keeps the least key of its inputs
+    assert merged.key in {f.key for f in inputs}
+    assert child.antiface(merged.key) is merged
+    for face in inputs + child.profaces[:1]:
+        for call in _stale_face_calls(child, face, merged):
+            with pytest.raises(EmbeddingError, match="is not an antiface"):
+                call()
 
 
 def test_split_swap_needs_two_distinct_corners(double_digon):
@@ -298,8 +374,10 @@ def test_blow_up_requires_local_irreducibility(three_loops):
     digraph, _ = three_loops
     emb = OrientedDirectedEmbedding(digraph, [(2, 1, 0, 5, 4, 3)])
     a, b = emb.antifaces[:2]
-    with pytest.raises(LocalIrreducibilityError):
+    with pytest.raises(LocalIrreducibilityError) as err:
         blow_up(emb, a, b, 0)
+    assert err.value.vertex == 0
+    assert err.value.faces == (0, 2, 4)
 
 
 def test_blow_up_requires_a_big_face(double_digon):

@@ -200,7 +200,7 @@ def test_looped_faces_span_almost_everything(tournament7):
     touch = build_touch_graph(emb)
     for key in touch.nodes:
         if touch.loop_vertices(key):
-            covered = {digraph.head(h >> 1) for h in key}
+            covered = {digraph.head(h >> 1) for h in touch.faces[key].walk}
             assert len(covered) == digraph.n
 
 

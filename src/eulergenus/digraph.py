@@ -285,7 +285,8 @@ def density_profile(digraph):
         k = n - 1 - min_degree
         dense_by_degree = 5 * min_degree >= 4 * n + 2
         dense_by_defect = n >= 5 * k + 7
-        assert dense_by_degree == dense_by_defect
+        if dense_by_degree != dense_by_defect:
+            raise GraphError("the two forms of the density flag disagree")
         profile = digraph._profile = DensityProfile(n, min_degree, k, dense_by_degree)
     return profile
 

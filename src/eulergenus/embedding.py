@@ -11,9 +11,14 @@ outgoing and incoming half-arcs.  Both face colors traverse arcs forward:
 With alternation these departures are outgoing, so each color induces a
 permutation of the outgoing half-arcs whose orbits are the faces.
 
-A proface departs inside the block of its arrival, the (outgoing,
-incoming) pair that sits clockwise-before it, so profaces depend only on
-how half-arcs pair into blocks.  ``with_rotation`` uses this: when the
+A block is an (outgoing, incoming) pair of consecutive half-arcs.  A
+proface departs inside the block of its arrival, the pair that sits
+clockwise-before it, so profaces depend only on how half-arcs pair into
+blocks.  With the profaces fixed to a circuit decomposition the pairing
+is fixed too (``decomposition_blocks``), and an embedding is just the
+cyclic order of its blocks at each vertex.  ``_blocks`` is the one reader
+of a rotation's blocks, which also decides whether it alternates, and
+``flat_rotation`` is the one writer.  ``with_rotation`` uses this: when the
 blocks at the changed vertex stay intact, the child keeps its parent's
 profaces and every antiface that does not arrive on a re-paired incoming
 half, and derives the rest by re-joining slices of the touched antifaces.
@@ -147,7 +152,7 @@ class OrientedDirectedEmbedding:
     were spliced from a parent's faces rather than traced.
     """
 
-    __slots__ = ("digraph", "rotations", "_pos", "_faces", "_derived", "_antiface_index")
+    __slots__ = ("digraph", "rotations", "_faces", "_derived", "_antiface_index")
 
     def __init__(self, digraph, rotations):
         rotations = tuple(tuple(map(int, rot)) for rot in rotations)
@@ -162,50 +167,32 @@ class OrientedDirectedEmbedding:
                 )
         self.digraph = digraph
         self.rotations = rotations
-        self._pos = tuple(dict(zip(rot, range(len(rot)))) for rot in rotations)
         self._faces = None
         self._derived = False
         self._antiface_index = None
 
     def next_cw(self, h):
-        v = self.digraph.half_arc_vertex(h)
-        rot = self.rotations[v]
-        return rot[(self._pos[v][h] + 1) % len(rot)]
+        rot = self.rotations[self.digraph.half_arc_vertex(h)]
+        return rot[(rot.index(h) + 1) % len(rot)]
 
     def prev_cw(self, h):
-        v = self.digraph.half_arc_vertex(h)
-        rot = self.rotations[v]
-        return rot[(self._pos[v][h] - 1) % len(rot)]
+        rot = self.rotations[self.digraph.half_arc_vertex(h)]
+        return rot[rot.index(h) - 1]
 
     def alternation_failure(self):
         """First vertex whose rotation does not alternate directions, or None."""
         for v, rot in enumerate(self.rotations):
-            if not rot:
-                continue
-            # cyclically consecutive half-arcs differ in direction exactly
-            # when the length is even, the even slots share one direction
-            # and the odd slots share the other
-            even = {h & 1 for h in rot[0::2]}
-            odd = {h & 1 for h in rot[1::2]}
-            if len(rot) % 2 or len(even) != 1 or len(odd) != 1 or even == odd:
+            if _blocks(rot) is None:
                 return v
         return None
 
     def blocks_at(self, v):
-        """Rotation at v as consecutive (outgoing, incoming) pairs."""
-        rot = self.rotations[v]
-        if not rot:
-            return ()
-        start = 0 if (rot[0] & 1) == 0 else 1
-        d = len(rot) // 2
-        blocks = []
-        for i in range(d):
-            g = rot[(start + 2 * i) % len(rot)]
-            h = rot[(start + 2 * i + 1) % len(rot)]
-            if (g & 1) != 0 or (h & 1) != 1:
-                raise EmbeddingError(f"rotation at vertex {v} does not alternate")
-            blocks.append((g, h))
-        return tuple(blocks)
+        """Rotation at v as consecutive (outgoing, incoming) pairs, clockwise
+        from its first outgoing half."""
+        blocks = _blocks(self.rotations[v])
+        if blocks is None:
+            raise EmbeddingError(f"rotation at vertex {v} does not alternate")
+        return tuple(zip(*blocks))
 
     def _trace(self):
         if self._faces is not None:
@@ -309,31 +296,33 @@ class OrientedDirectedEmbedding:
             raise EmbeddingError(
                 f"rotation at vertex {v} is not a permutation of its half-arcs"
             )
-        positions = list(self._pos)
-        positions[v] = dict(zip(rotation, range(len(rotation))))
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
         child.digraph = digraph
         child.rotations = tuple(rotations)
-        child._pos = tuple(positions)
         child._faces = None
         child._derived = False
         child._antiface_index = None
         if self._faces is not None:
-            old = _block_successors(self.rotations[v])
-            new = _block_successors(rotation)
+            old = _blocks(self.rotations[v])
+            new = _blocks(rotation)
             # profaces depend only on the block pairing, so equal blocks keep them
-            if old is not None and new is not None and old[0] == new[0]:
-                child._splice_antifaces(self, v, old[1], new[1])
+            if old is not None and new is not None and dict(zip(*old)) == dict(zip(*new)):
+                child._splice_antifaces(self, v, old, new)
         return child
 
-    def _splice_antifaces(self, parent, v, old_next, new_next):
+    def _splice_antifaces(self, parent, v, old_blocks, new_blocks):
         """Derive faces from the parent's after the blocks at v were reordered.
 
-        ``old_next`` and ``new_next`` send each incoming half at v to the
-        antiface departure after it.  Every antiface arriving on a half
-        whose departure changed is cut after those arrivals; the slices are
-        re-joined by following ``new_next``.
+        ``old_blocks`` and ``new_blocks`` are the ``_blocks`` of the two
+        rotations at v.  An antiface arriving on an incoming half departs on
+        the outgoing half of the next block.  Every antiface arriving on a
+        half whose departure changed is cut after those arrivals; the slices
+        are re-joined by following the new departures.
         """
+        old_next, new_next = (
+            dict(zip(incoming, outgoing[1:] + outgoing[:1]))
+            for outgoing, incoming in (old_blocks, new_blocks)
+        )
         profaces, antifaces = parent._faces
         cut_after = {h ^ 1 for h, g in new_next.items() if old_next[h] != g}
         kept = []
@@ -411,25 +400,37 @@ def least_first(walk):
     return walk[i:] + walk[:i]
 
 
-def _block_successors(rotation):
-    """Block pairing and antiface successor at one vertex, or None.
+def _blocks(rotation):
+    """``(outgoing, incoming)``: the halves of the rotation's blocks, or None.
 
-    Returns two dicts over the incoming half-arcs of an alternating
-    rotation: the outgoing half of each one's block, and the outgoing half
-    an antiface departs on after arriving there.  None when the rotation
-    does not alternate.
+    Block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
+    rotation's first outgoing half.  None when the rotation does not
+    alternate; an empty rotation has no blocks.
     """
-    if rotation and rotation[0] & 1:
+    if not rotation:
+        return (), ()
+    if rotation[0] & 1:
         rotation = rotation[1:] + rotation[:1]
     outgoing = rotation[0::2]
     incoming = rotation[1::2]
-    if len(outgoing) != len(incoming):
+    # cyclically consecutive half-arcs differ in direction exactly when the
+    # length is even, the even slots are outgoing and the odd ones incoming
+    if (len(outgoing) != len(incoming) or {g & 1 for g in outgoing} != {0}
+            or {h & 1 for h in incoming} != {1}):
         return None
-    if any(g & 1 for g in outgoing) or not all(h & 1 for h in incoming):
-        return None
-    blocks = dict(zip(incoming, outgoing))
-    successors = dict(zip(incoming, outgoing[1:] + outgoing[:1]))
-    return blocks, successors
+    return outgoing, incoming
+
+
+def flat_rotation(blocks):
+    """The rotation laying out (outgoing, incoming) blocks in order."""
+    return tuple(chain.from_iterable(blocks))
+
+
+def decomposition_blocks(digraph, decomposition):
+    """Per vertex, the blocks whose pairing the circuits fix: each incoming
+    half-arc, ascending, with the outgoing half its circuit continues to."""
+    fw = decomposition.fw
+    return [[(fw[h], h) for h in digraph.in_half_arcs(v)] for v in range(digraph.n)]
 
 
 def trace_faces(embedding):
@@ -446,15 +447,8 @@ def embed_from_decomposition(digraph, decomposition):
     """
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
-    fw = decomposition.fw
-    rotations = []
-    for v in range(digraph.n):
-        rot = []
-        for h in digraph.in_half_arcs(v):
-            rot.append(fw[h])
-            rot.append(h)
-        rotations.append(rot)
-    return OrientedDirectedEmbedding(digraph, rotations)
+    blocks = decomposition_blocks(digraph, decomposition)
+    return OrientedDirectedEmbedding(digraph, map(flat_rotation, blocks))
 
 
 def euler_genus(embedding):

@@ -85,7 +85,8 @@ def steiner_triple_system(n):
                 z = halve(x + y)
                 for i in range(3):
                     triples.append((point(x, i), point(y, i), point(z, (i + 1) % 3)))
-    assert len(triples) == n * (n - 1) // 6
+    if len(triples) != n * (n - 1) // 6:
+        raise GraphError(f"{len(triples)} triples do not cover the pairs of {n} points once")
     return triples
 
 

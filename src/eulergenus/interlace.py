@@ -108,7 +108,8 @@ def walk_edge_pairs(vertices):
 
 def _certificate(embedding, table, face, x, y):
     positions = face.alternation_positions(x, y)
-    assert positions is not None
+    if positions is None:
+        raise EmbeddingError(f"vertices {x} and {y} do not interlace on the face")
     face_x = table.faces[table.partner(x, face.key)]
     face_y = table.faces[table.partner(y, face.key)]
     return InterlacingCertificate(face, x, y, positions, face_x, face_y)
@@ -216,7 +217,8 @@ def diamond_search(embedding, face, t, u, v, x, table=None):
         if oriented:
             break
     # all x-u arcs lie on this face, so one direction walks x into u
-    assert oriented is not None
+    if oriented is None:
+        raise EmbeddingError(f"no arc of the face walk joins {x} and {u}")
     ordered, q = oriented
     span = next(
         d for d in range(1, length + 1) if ordered[(q + d) % length] == x
@@ -267,7 +269,11 @@ def check_big_moderate(embedding, face_a, face_b, face_c, table=None):
         return None
     with_b = table.common_vertices(a.key, b.key)
     with_c = table.common_vertices(a.key, c.key)
-    assert len(with_b) >= k + 3 and len(with_c) >= k + 3
+    if len(with_b) < k + 3 or len(with_c) < k + 3:
+        raise HypothesisError(
+            f"the big face shares {len(with_b)} and {len(with_c)} vertices "
+            f"with its partners, fewer than k + 3 = {k + 3}"
+        )
     pool = sorted(set(with_b) | set(with_c))
     return three_neighbor_search(embedding, a, pool, table)
 
@@ -305,7 +311,11 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
 
     adjacency = underlying_simple_graph(embedding.digraph)
     pool = [w for w in shared if w in adjacency[x_a] and w in adjacency[x_b]]
-    assert len(pool) >= len(shared) - 2 * k
+    if len(pool) < len(shared) - 2 * k:
+        raise HypothesisError(
+            f"{len(pool)} shared vertices are adjacent to both witnesses, "
+            f"fewer than {len(shared)} - 2k"
+        )
 
     edges_a = walk_edge_pairs(usg_walk(a)[0])
     edges_b = walk_edge_pairs(usg_walk(b)[0])
@@ -319,13 +329,15 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
         if e in edges_b:
             found.append("b")
         # shared two-face vertices are joined only by arcs of A or B
-        assert found
+        if not found:
+            raise EmbeddingError(f"no arc between shared vertices {p} and {q} lies on either face")
         return found
 
     if k == 0:
         s0, s1, s2 = pool[:3]
         for p, q in ((s0, s1), (s1, s2), (s0, s2)):
-            assert q in adjacency[p]
+            if q not in adjacency[p]:
+                raise HypothesisError(f"vertices {p} and {q} are not adjacent although k = 0")
         pairs = (
             ((s0, s1), (s1, s2), s1),
             ((s0, s1), (s0, s2), s0),
@@ -334,7 +346,8 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
     else:
         u0 = pool[0]
         neighbors = [w for w in pool if w != u0 and w in adjacency[u0]]
-        assert len(neighbors) >= 3
+        if len(neighbors) < 3:
+            raise HypothesisError(f"vertex {u0} has {len(neighbors)} < 3 neighbors in the pool")
         t1, t2, t3 = neighbors[:3]
         pairs = (
             ((u0, t1), (u0, t2), u0),
@@ -351,7 +364,7 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
         if side == "a":
             return diamond_search(embedding, a, legs[0], hub, legs[1], x_a, table)
         return diamond_search(embedding, b, legs[0], hub, legs[1], x_b, table)
-    raise AssertionError("two of three edges always share a face class")
+    raise EmbeddingError("no two of three edges share a face class")
 
 
 def extract_dense_subgraph(adjacency, d):
@@ -404,6 +417,6 @@ def extract_dense_subgraph(adjacency, d):
                 degree[w] -= 1
                 if degree[w] <= d:
                     queue.append(w)
-    assert alive, "peeling emptied a graph above the edge bound"
-    assert all(degree[v] >= d + 1 for v in alive)
+    if not alive or any(degree[v] <= d for v in alive):
+        raise GraphError("peeling a graph above the edge bound left no (d + 1)-core")
     return frozenset(alive)

@@ -18,16 +18,8 @@ touches.
 from itertools import permutations, product
 from math import factorial, prod
 
-from .embedding import OrientedDirectedEmbedding
+from .embedding import OrientedDirectedEmbedding, decomposition_blocks, flat_rotation
 from .errors import EmbeddingError, GraphError, StateSpaceError
-
-
-def _vertex_pairs(digraph, decomposition):
-    fw = decomposition.fw
-    return [
-        [(fw[h], h) for h in digraph.in_half_arcs(v)]
-        for v in range(digraph.n)
-    ]
 
 
 def state_count(digraph):
@@ -60,16 +52,9 @@ def iter_relative_embeddings(digraph, decomposition, limit=10_000_000):
     slowest, and is kept stable because callers pick states by index.
     """
     _check_feasible(digraph, decomposition, limit)
-    options = [_arrangements(pairs) for pairs in _vertex_pairs(digraph, decomposition)]
+    options = map(_arrangements, decomposition_blocks(digraph, decomposition))
     for combo in product(*options):
-        rotations = []
-        for arrangement in combo:
-            rot = []
-            for g, h in arrangement:
-                rot.append(g)
-                rot.append(h)
-            rotations.append(rot)
-        yield OrientedDirectedEmbedding(digraph, rotations)
+        yield OrientedDirectedEmbedding(digraph, map(flat_rotation, combo))
 
 
 class OracleSummary:
@@ -140,7 +125,7 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
     nxt = [0] * m  # nxt[a] = the arc an antiface takes after arc a
     digits = []  # (outs, ins, swaps) per vertex with a free arrangement
     swaps_of = {}
-    for pairs in _vertex_pairs(digraph, decomposition):
+    for pairs in decomposition_blocks(digraph, decomposition):
         d = len(pairs)
         outs = [g >> 1 for g, _ in pairs]
         ins = [h >> 1 for _, h in pairs]

@@ -449,7 +449,8 @@ def small_order_embedding(digraph, decomposition):
     if digraph.n == 2:
         forward = [a for a in range(digraph.m) if digraph.arcs[a] == (0, 1)]
         backward = [a for a in range(digraph.m) if digraph.arcs[a] == (1, 0)]
-        assert len(forward) == len(backward)
+        if len(forward) != len(backward):
+            raise GraphError("the two vertices are joined unequally each way")
         if len(forward) == 1:
             return _splice_across_two_cut(
                 digraph, decomposition, trace, forward[0], backward[0]
@@ -467,19 +468,23 @@ def small_order_embedding(digraph, decomposition):
                      before, len(emb.antifaces))
     if len(emb.antifaces) > 2:
         # locally irreducible on two vertices: must be the path configuration
-        assert digraph.n == 2 and len(emb.antifaces) == 3
         spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
         single = [f for f in emb.antifaces if len(f.vertex_set()) == 1]
-        assert len(spanning) == 1 and len(single) == 2
+        if not (digraph.n == 2 and len(spanning) == 1 and len(single) == 2
+                and single[0].vertex_set() != single[1].vertex_set()):
+            raise EmbeddingError(
+                f"{len(emb.antifaces)} locally irreducible antifaces do not form "
+                "the path configuration"
+            )
         u = min(single[0].vertex_set())
         w = min(single[1].vertex_set())
-        assert u != w
         before = 3
         result = merge_interlaced(emb, spanning[0], single[0], single[1], u, w)
         emb = result.embedding
         trace.record("small-a", "merge_interlaced", {"x": u, "y": w},
                      before, len(emb.antifaces))
-    assert len(emb.antifaces) <= 2
+    if len(emb.antifaces) > 2:
+        raise EmbeddingError(f"small-order reduction left {len(emb.antifaces)} antifaces")
     return emb, trace
 
 
@@ -492,15 +497,17 @@ def _splice_across_two_cut(digraph, decomposition, trace, forward, backward):
         if forward in circuit.arc_ids:
             star = circuit
             break
-    assert star is not None and backward in star.arc_ids
+    if star is None or backward not in star.arc_ids:
+        raise GraphError("no circuit crosses the two-cut both ways")
     ids = star.arc_ids
     i = ids.index(forward)
     rotated = ids[i:] + ids[:i]
     pf = rotated.index(backward)
     far_loops = rotated[1:pf]      # loops at vertex 1 between the crossings
     near_loops = rotated[pf + 1:]  # loops at vertex 0 after returning
-    assert all(digraph.arcs[a] == (1, 1) for a in far_loops)
-    assert all(digraph.arcs[a] == (0, 0) for a in near_loops)
+    if any(digraph.arcs[a] != (1, 1) for a in far_loops) or \
+            any(digraph.arcs[a] != (0, 0) for a in near_loops):
+        raise GraphError("the crossing circuit leaves its side between the cut arcs")
 
     sides = (
         (0, [a for a in range(digraph.m) if digraph.arcs[a] == (0, 0)], near_loops),
@@ -537,8 +544,13 @@ def _splice_across_two_cut(digraph, decomposition, trace, forward, backward):
 
     emb = OrientedDirectedEmbedding(digraph, rotations)
     report = verify_embedding(emb, decomposition)
-    assert report.ok, report.summary()
-    assert len(emb.antifaces) == counts[0] + counts[1] - 1
+    if not report.ok:
+        raise EmbeddingError(report.summary())
+    if len(emb.antifaces) != counts[0] + counts[1] - 1:
+        raise EmbeddingError(
+            f"the spliced embedding has {len(emb.antifaces)} antifaces, "
+            f"not {counts[0] + counts[1] - 1}"
+        )
     trace.metadata["splice"] = {
         "cut_arcs": [forward, backward],
         "side_antifaces": counts,
@@ -600,7 +612,8 @@ def _completion_circuits(digraph, leftover):
                     seq.append(a)
         seq.reverse()
         circuits.append(DirectedCircuit(digraph, seq))
-    assert not remaining, "leftover component walk missed arcs"
+    if remaining:
+        raise GraphError("leftover component walk missed arcs")
     return circuits
 
 
@@ -628,7 +641,10 @@ def relative_upper_from_partial(digraph, partial, mode=STRICT, validate_steps=Fa
     full = CircuitDecomposition(digraph, circuits + extras)
     emb, trace = reduce_to_upper_embedding(digraph, full, mode, validate_steps)
     trace.metadata["completion"] = {"given": len(circuits), "added": len(extras)}
-    assert len(emb.profaces) == len(circuits) + len(extras)
+    if len(emb.profaces) != len(circuits) + len(extras):
+        raise EmbeddingError(
+            f"{len(emb.profaces)} profaces, not the {len(circuits) + len(extras)} circuits"
+        )
     return emb, trace
 
 

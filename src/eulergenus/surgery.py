@@ -14,7 +14,7 @@ operation checks its own postconditions on those faces and raises
 from fractions import Fraction
 
 from .digraph import density_profile
-from .embedding import least_first
+from .embedding import flat_rotation, least_first
 from .errors import EmbeddingError, HypothesisError
 from .interlace import TypeTable
 
@@ -80,11 +80,7 @@ def _rewire_three(embedding, v, h1, h2, h3):
     )
     if len(reordered) != len(blocks):
         raise EmbeddingError(f"re-pairing at vertex {v} lost blocks")
-    rotation = []
-    for g, h in reordered:
-        rotation.append(g)
-        rotation.append(h)
-    return embedding.with_rotation(v, rotation)
+    return embedding.with_rotation(v, flat_rotation(reordered))
 
 
 def _created_antifaces(embedding, new_embedding, inputs, v, operation):
@@ -390,11 +386,15 @@ def blow_up(embedding, face_a, face_b, x):
             return SurgeryResult(embedding, {a.key: a, b.key: b}, changed=False,
                                  branch="no-op")
         branch = "y-minority-split"
-        assert len(arc_neighbors) >= 3
+        if len(arc_neighbors) < 3:
+            raise HypothesisError(
+                f"vertex {x} has {len(arc_neighbors)} < 3 arc neighbors on the face to split"
+            )
         red_positions = sorted(reds.values())[:len(arc_neighbors) - 1]
         target = Fraction(2 * len(arc_neighbors) - 1, 2)
 
-    assert len(black_positions) >= 2
+    if len(black_positions) < 2:
+        raise HypothesisError(f"the face to split passes vertex {x} only once")
     white_positions = set(whites.values())
     red_kept = set(red_positions)
     colored = sorted(set(black_positions) | white_positions | red_kept)

@@ -128,7 +128,6 @@ def test_with_rotation_validates_the_new_rotation_only():
         emb.with_rotation(2, emb.rotations[2][1:])
     child = emb.with_rotation(2, emb.rotations[2][::-1])
     assert child.rotations[3] is emb.rotations[3]
-    assert child._pos[3] is emb._pos[3]
 
 
 def test_antiface_lookup_by_key():

@@ -70,6 +70,8 @@ def test_clockwise_neighbors(three_loops):
     assert emb.rotations == ((2, 1, 4, 3, 0, 5),)
     assert emb.next_cw(1) == 4
     assert emb.prev_cw(1) == 2
+    assert emb.prev_cw(2) == 5
+    assert emb.next_cw(5) == 2
     assert emb.blocks_at(0) == ((2, 1), (4, 3), (0, 5))
 
 

@@ -21,7 +21,7 @@ from eulergenus import (
     gen_rotational_tournament,
     gen_sts,
 )
-from eulergenus.embedding import FaceWalk
+from eulergenus.embedding import FaceWalk, flat_rotation
 from eulergenus.surgery import _arrival_at, _rewire_three
 
 from conftest import circulant
@@ -141,6 +141,16 @@ def test_alternation_rule_equals_the_per_pair_definition(rotations):
     fake = SimpleNamespace(rotations=tuple(map(tuple, rotations)))
     got = OrientedDirectedEmbedding.alternation_failure(fake)
     assert got == _reference_alternation_failure(fake.rotations)
+    # blocks_at raises exactly where the rule fails, and otherwise lays the
+    # rotation back out from its first outgoing half
+    for v, rot in enumerate(fake.rotations):
+        if _reference_alternation_failure([rot]) is not None:
+            with pytest.raises(EmbeddingError, match=f"vertex {v} does not alternate"):
+                OrientedDirectedEmbedding.blocks_at(fake, v)
+            continue
+        start = next((i for i, h in enumerate(rot) if h & 1 == 0), 0)
+        turned = rot[start:] + rot[:start]
+        assert flat_rotation(OrientedDirectedEmbedding.blocks_at(fake, v)) == turned
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from eulergenus import (
     GraphError,
     StateSpaceError,
     certify_maximal,
+    embed_from_decomposition,
     enumerate_relative_embeddings,
     euler_circuit,
     gen_rotational_tournament,
@@ -46,6 +47,8 @@ def test_iterator_length_matches_state_count(three_loops, four_loops):
     for digraph, decomposition in (three_loops, four_loops):
         states = list(iter_relative_embeddings(digraph, decomposition))
         assert len(states) == state_count(digraph)
+        # both read decomposition_blocks; the first state keeps their order
+        assert states[0].rotations == embed_from_decomposition(digraph, decomposition).rotations
         want = decomposition.canonical_set()
         for emb in states:
             assert {f.arcs() for f in emb.profaces} == want

@@ -278,6 +278,21 @@ def test_small_order_splices_across_a_two_cut():
     assert verify_embedding(emb, decomposition).ok
 
 
+def test_a_failed_two_cut_splice_raises(monkeypatch):
+    """The spliced embedding's only check is an exception, so ``-O`` keeps it."""
+    from eulergenus import reduce as reduce_module
+    from eulergenus.embedding import VerificationReport
+
+    monkeypatch.setattr(
+        reduce_module, "verify_embedding",
+        lambda emb, decomposition=None: VerificationReport([("parity", "forced failure")]),
+    )
+    digraph = Digraph(2, [(0, 1), (1, 0), (0, 0), (1, 1)])
+    decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1], [2], [3]])
+    with pytest.raises(EmbeddingError, match="parity: forced failure"):
+        small_order_embedding(digraph, decomposition)
+
+
 def test_reduce_dispatches_small_orders(double_digon):
     digraph, decomposition = double_digon
     emb, trace = reduce_to_upper_embedding(digraph, decomposition, mode=BEST_EFFORT)

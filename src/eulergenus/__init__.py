@@ -35,8 +35,8 @@ from .render import embedding_svg
 from .surgery import (BLACK, RED, WHITE, DivisionResult, SurgeryResult,
                       blow_up, division_search, merge_interlaced,
                       merge_three_at_vertex, split_swap)
-from .touch import (TouchClassification, TouchGraph, build_touch_graph,
-                    classify, touch_graph_dot)
+from .touch import (TouchClassification, build_touch_graph, classify,
+                    touch_graph_dot)
 
 __version__ = "1.0.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "InterlacingCertificate", "LocalIrreducibilityError", "NoProgressError",
     "OracleSummary", "OrientedDirectedEmbedding", "RED", "ReductionStep",
     "ReductionTrace", "STRICT", "StateSpaceError", "SurgeryResult",
-    "TouchClassification", "TouchGraph", "TypeTable", "UndirectedGraph",
+    "TouchClassification", "TypeTable", "UndirectedGraph",
     "VerificationReport", "WHITE", "arc_of", "blow_up", "build_digraph",
     "build_touch_graph", "certify_maximal", "check_big_moderate",
     "check_diamond_corollary", "check_three_neighbor_corollary", "classify",

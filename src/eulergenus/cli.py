@@ -6,7 +6,7 @@ Subcommands:
 * ``embed``   reduce a decomposition to an embedding with at most two antifaces;
 * ``verify``  check an embedding file against its digraph and circuits;
 * ``oracle``  enumerate all embeddings with the given profaces (small inputs);
-* ``faces``   trace an embedding's faces, or emit its touch graph as DOT;
+* ``faces``   trace an embedding's faces and touch graph, or emit the touch graph as DOT;
 * ``render``  draw an embedding as SVG.
 
 Exit codes: 0 success, 1 invalid input or failed verification, 2 a search or
@@ -20,7 +20,7 @@ import sys
 from .digraph import CircuitDecomposition, Digraph, euler_circuit
 from .embedding import (OrientedDirectedEmbedding, euler_genus, verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
-                     NoProgressError, StateSpaceError)
+                     LocalIrreducibilityError, NoProgressError, StateSpaceError)
 from .generate import (gen_kn_minus_pm, gen_random_dense_eulerian,
                        gen_rotational_tournament, gen_sts)
 from .oracle import enumerate_relative_embeddings
@@ -140,14 +140,17 @@ def cmd_oracle(args):
 def cmd_faces(args):
     digraph = _load_digraph(args.input)
     embedding = _load_embedding(args.embedding, digraph)
-    touch = build_touch_graph(embedding)
     if args.dot:
-        _write_text(args.out, touch_graph_dot(touch))
+        _write_text(args.out, touch_graph_dot(build_touch_graph(embedding)))
         return 0
+    try:
+        touch = build_touch_graph(embedding)
+    except LocalIrreducibilityError:
+        touch = None  # a touch graph needs every vertex on at most two antifaces
     data = {
         "profaces": [list(face.walk) for face in embedding.profaces],
         "antifaces": [list(face.walk) for face in embedding.antifaces],
-        "touch": {
+        "touch": None if touch is None else {
             "loops": {str(i): sorted(touch.loop_vertices(key))
                       for i, key in enumerate(touch.nodes)
                       if touch.loop_vertices(key)},

@@ -1,32 +1,59 @@
-"""Finding interlaced vertex pairs on an antiface.
+"""Vertex types, the touch graph, and interlaced vertex pairs on an antiface.
 
 A vertex's type is the set of antifaces it lies on; in a locally
-irreducible embedding that set has one or two members.  The searches here
-locate two vertices x, y whose occurrences alternate x, y, x, y around one
-antiface while x and y each lie on one further antiface, which is exactly
-what merge_interlaced consumes.  Searches are deterministic: all scans run
-in ascending position or vertex order.
+irreducible embedding that set has one or two members.  ``TypeTable``
+reads the types as the edges of the touch graph: a loop at a vertex's one
+antiface, or a link between its two.  The searches here locate two vertices
+x, y whose occurrences alternate x, y, x, y around one antiface while x and
+y each lie on one further antiface, which is exactly what merge_interlaced
+consumes.  Searches are deterministic: all scans run in ascending position
+or vertex order.
 """
+
+from collections import deque
 
 from .digraph import density_profile, underlying_simple_graph
 from .errors import EmbeddingError, GraphError, HypothesisError, LocalIrreducibilityError
 
 
+def _crowded_vertex(membership):
+    """Lowest vertex on three or more antifaces, or None."""
+    return min((v for v, keys in membership.items() if len(keys) > 2), default=None)
+
+
 class TypeTable:
-    """Per-vertex antiface membership of a locally irreducible embedding.
+    """Vertex types of a locally irreducible embedding, as its touch graph.
 
     ``faces`` and ``membership`` are the embedding's own, read-only
-    ``antiface_index``; ``LocalIrreducibilityError`` names the lowest
-    vertex on three or more antifaces.
+    ``antiface_index``.  ``nodes`` holds the antiface keys, ascending;
+    ``loops`` maps every key, and ``links`` every ascending key pair that
+    shares a vertex, to its vertices, ascending.  ``LocalIrreducibilityError``
+    names the lowest vertex on three or more antifaces.
     """
 
-    __slots__ = ("faces", "membership")
+    __slots__ = ("faces", "membership", "nodes", "loops", "links", "_neighbors")
 
     def __init__(self, embedding):
         self.faces, self.membership = embedding.antiface_index()
-        crowded = min((v for v, keys in self.membership.items() if len(keys) > 2), default=None)
+        crowded = _crowded_vertex(self.membership)
         if crowded is not None:
             raise LocalIrreducibilityError(crowded, self.membership[crowded])
+        self.nodes = tuple(sorted(self.faces))
+        loops = {key: [] for key in self.nodes}
+        links = {}
+        for v in sorted(self.membership):
+            keys = self.membership[v]
+            if len(keys) == 1:
+                loops[keys[0]].append(v)
+            else:
+                links.setdefault(keys, []).append(v)
+        self.loops = {key: tuple(vs) for key, vs in loops.items()}
+        self.links = {pair: tuple(vs) for pair, vs in links.items()}
+        neighbors = {key: [] for key in self.nodes}
+        for p, q in self.links:
+            neighbors[p].append(q)
+            neighbors[q].append(p)
+        self._neighbors = {key: tuple(sorted(ns)) for key, ns in neighbors.items()}
 
     def faces_at(self, v):
         return self.membership.get(v, ())
@@ -39,20 +66,39 @@ class TypeTable:
         others = [k for k in keys if k != key]
         return others[0] if others else None
 
-    def common_vertices(self, key_a, key_b):
-        """Vertices of type exactly {A, B}, ascending."""
-        pair = tuple(sorted((key_a, key_b)))
-        return tuple(v for v in sorted(self.membership) if self.membership[v] == pair)
+    def neighbors(self, key):
+        return self._neighbors[key]
 
-    def single_face_vertices(self, key):
-        return tuple(v for v in sorted(self.membership) if self.membership[v] == (key,))
+    def loop_vertices(self, key):
+        """Vertices on the given face alone, ascending."""
+        return self.loops[key]
+
+    def link_vertices(self, key_a, key_b):
+        """Vertices of type exactly {A, B}, ascending."""
+        return self.links.get(tuple(sorted((key_a, key_b))), ())
 
     def two_face_vertices(self, key):
         """Vertices on the given face and exactly one other, ascending."""
-        return tuple(
-            v for v in sorted(self.membership)
-            if len(self.membership[v]) == 2 and key in self.membership[v]
-        )
+        return tuple(sorted(
+            v for other in self._neighbors[key] for v in self.link_vertices(key, other)
+        ))
+
+    def edge_count(self):
+        """One edge per vertex: a loop or a link."""
+        return len(self.membership)
+
+    def is_connected(self):
+        if len(self.nodes) <= 1:
+            return True
+        seen = {self.nodes[0]}
+        queue = deque(seen)
+        while queue:
+            key = queue.popleft()
+            for other in self._neighbors[key]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        return len(seen) == len(self.nodes)
 
 
 class InterlacingCertificate:
@@ -76,7 +122,7 @@ def find_vertex_on_three_antifaces(embedding):
     """Lowest vertex lying on three or more antifaces, with its three
     lowest-key faces; None when the embedding is locally irreducible."""
     faces, membership = embedding.antiface_index()
-    v = min((u for u, keys in membership.items() if len(keys) > 2), default=None)
+    v = _crowded_vertex(membership)
     if v is None:
         return None
     return v, tuple(faces[key] for key in membership[v][:3])
@@ -106,7 +152,7 @@ def walk_edge_pairs(vertices):
     )
 
 
-def _certificate(embedding, table, face, x, y):
+def _certificate(table, face, x, y):
     positions = face.alternation_positions(x, y)
     if positions is None:
         raise EmbeddingError(f"vertices {x} and {y} do not interlace on the face")
@@ -115,7 +161,7 @@ def _certificate(embedding, table, face, x, y):
     return InterlacingCertificate(face, x, y, positions, face_x, face_y)
 
 
-def three_neighbor_search(embedding, face, candidates, table=None):
+def three_neighbor_search(embedding, face, candidates):
     """Interlaced cross-type pair among candidate vertices on one antiface.
 
     Every candidate must lie on ``face`` plus exactly one other antiface,
@@ -125,7 +171,7 @@ def three_neighbor_search(embedding, face, candidates, table=None):
     ascending (length, start) order and takes the first interval holding a
     cross-type candidate.
     """
-    table = table if table is not None else TypeTable(embedding)
+    table = TypeTable(embedding)
     face = embedding.own_antiface(face)
     chosen = sorted(set(candidates))
     if not chosen:
@@ -165,14 +211,14 @@ def three_neighbor_search(embedding, face, candidates, table=None):
                         walk[q] == y for q in range(length) if q not in interval
                     )
                     if outside:
-                        return _certificate(embedding, table, face, x, y)
+                        return _certificate(table, face, x, y)
                     raise HypothesisError(
                         f"vertex {y} lies only inside the minimal interval of {x}"
                     )
     raise HypothesisError("no repeated candidate vertex encloses a cross-type candidate")
 
 
-def diamond_search(embedding, face, t, u, v, x, table=None):
+def diamond_search(embedding, face, t, u, v, x):
     """Interlaced pair from a diamond: a path t, u, v sharing one second
     face, plus a witness x adjacent to all three with a different second face.
 
@@ -182,7 +228,7 @@ def diamond_search(embedding, face, t, u, v, x, table=None):
     edge to x stays outside the interval and {t_or_v, u} appears inside,
     otherwise u.
     """
-    table = table if table is not None else TypeTable(embedding)
+    table = TypeTable(embedding)
     face = embedding.own_antiface(face)
     if len({t, u, v}) != 3:
         raise HypothesisError("path vertices must be three distinct vertices")
@@ -230,14 +276,14 @@ def diamond_search(embedding, face, t, u, v, x, table=None):
         frozenset((interval[i], interval[i + 1])) for i in range(len(interval) - 1)
     }
     y = t_star if frozenset((t_star, u)) in inside_pairs else u
-    return _certificate(embedding, table, face, x, y)
+    return _certificate(table, face, x, y)
 
 
-def check_three_neighbor_corollary(embedding, face, table=None):
+def check_three_neighbor_corollary(embedding, face):
     """Try the margin route: the face's two-face vertices interlace whenever
     each other antiface claims at most all-but-(k + 3) of them.  Returns a
     certificate or None when the margin fails."""
-    table = table if table is not None else TypeTable(embedding)
+    table = TypeTable(embedding)
     face = embedding.own_antiface(face)
     profile = density_profile(embedding.digraph)
     k = profile.k
@@ -248,14 +294,14 @@ def check_three_neighbor_corollary(embedding, face, table=None):
     partners = [table.partner(v, face.key) for v in pool]
     if len(pool) - max(map(partners.count, set(partners))) < k + 3:
         return None
-    return three_neighbor_search(embedding, face, pool, table)
+    return three_neighbor_search(embedding, face, pool)
 
 
-def check_big_moderate(embedding, face_a, face_b, face_c, table=None):
+def check_big_moderate(embedding, face_a, face_b, face_c):
     """Try the size route: one face spanning almost everything and two
     moderately large partners force an interlaced pair on the big face.
     Returns a certificate or None when a size hypothesis fails."""
-    table = table if table is not None else TypeTable(embedding)
+    table = TypeTable(embedding)
     a = embedding.own_antiface(face_a)
     b = embedding.own_antiface(face_b)
     c = embedding.own_antiface(face_c)
@@ -267,18 +313,18 @@ def check_big_moderate(embedding, face_a, face_b, face_c, table=None):
         return None
     if len(b.vertex_set()) < 2 * k + 3 or len(c.vertex_set()) < 2 * k + 3:
         return None
-    with_b = table.common_vertices(a.key, b.key)
-    with_c = table.common_vertices(a.key, c.key)
+    with_b = table.link_vertices(a.key, b.key)
+    with_c = table.link_vertices(a.key, c.key)
     if len(with_b) < k + 3 or len(with_c) < k + 3:
         raise HypothesisError(
             f"the big face shares {len(with_b)} and {len(with_c)} vertices "
             f"with its partners, fewer than k + 3 = {k + 3}"
         )
     pool = sorted(set(with_b) | set(with_c))
-    return three_neighbor_search(embedding, a, pool, table)
+    return three_neighbor_search(embedding, a, pool)
 
 
-def check_diamond_corollary(embedding, face_a, face_b, table=None):
+def check_diamond_corollary(embedding, face_a, face_b):
     """Try the diamond route on two antifaces sharing many vertices.
 
     Applicable when |AB| >= 3k + 4 (or just 3 when k = 0) and each face has
@@ -286,14 +332,14 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
     inside the shared vertices adjacent to both witnesses and delegates to
     diamond_search on whichever face carries both path edges.
     """
-    table = table if table is not None else TypeTable(embedding)
+    table = TypeTable(embedding)
     a = embedding.own_antiface(face_a)
     b = embedding.own_antiface(face_b)
     if a.key == b.key:
         return None
     profile = density_profile(embedding.digraph)
     k = profile.k
-    shared = table.common_vertices(a.key, b.key)
+    shared = table.link_vertices(a.key, b.key)
     if not ((k == 0 and len(shared) >= 3) or len(shared) >= 3 * k + 4):
         return None
 
@@ -362,8 +408,8 @@ def check_diamond_corollary(embedding, face_a, face_b, table=None):
         side = common[0]
         legs = [w for w in sorted(set(e1) | set(e2)) if w != hub]
         if side == "a":
-            return diamond_search(embedding, a, legs[0], hub, legs[1], x_a, table)
-        return diamond_search(embedding, b, legs[0], hub, legs[1], x_b, table)
+            return diamond_search(embedding, a, legs[0], hub, legs[1], x_a)
+        return diamond_search(embedding, b, legs[0], hub, legs[1], x_b)
     raise EmbeddingError("no two of three edges share a face class")
 
 

@@ -26,7 +26,7 @@ from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
                         verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
-from .interlace import (TypeTable, check_big_moderate, check_diamond_corollary,
+from .interlace import (check_big_moderate, check_diamond_corollary,
                         check_three_neighbor_corollary, extract_dense_subgraph,
                         find_vertex_on_three_antifaces, three_neighbor_search)
 from .surgery import blow_up, merge_interlaced, merge_three_at_vertex
@@ -172,14 +172,13 @@ class _Reducer:
         return split, partner
 
     def shape_after_blow_up(self, blown):
-        """Type table, touch graph and shape after a blow up of ``blown``."""
-        table = TypeTable(self.emb)
-        touch = build_touch_graph(self.emb, table)
+        """Touch graph and shape after a blow up of ``blown``."""
+        touch = build_touch_graph(self.emb)
         shape = classify(touch)
         # blowing up touches only the two faces involved, so new loops are theirs
         if not set(shape.loop_nodes) <= {f.key for f in blown}:
             raise EmbeddingError("a loop appeared on a face the blow up did not touch")
-        return table, touch, shape
+        return touch, shape
 
     def merge_reducible_vertex(self, case="1"):
         """Inline case-1 merge; True when one was available and applied."""
@@ -203,14 +202,13 @@ class _Reducer:
     def step(self):
         if self.merge_reducible_vertex():
             return
-        table = TypeTable(self.emb)
-        touch = build_touch_graph(self.emb, table)
+        touch = build_touch_graph(self.emb)
         shape = classify(touch)
         if not shape.loop_nodes:
             if not shape.is_star:
-                self.case_no_loops_general(table, shape)
+                self.case_no_loops_general(touch, shape)
             else:
-                self.case_no_loops_star(table, touch, shape)
+                self.case_no_loops_star(touch, shape)
         elif len(shape.loop_nodes) >= 2:
             self.case_two_looped(touch, shape)
         else:
@@ -223,7 +221,7 @@ class _Reducer:
             else:
                 self.case_one_loop_many_neighbors(touch, loop_key)
 
-    def case_no_loops_general(self, table, shape):
+    def case_no_loops_general(self, touch, shape):
         if shape.heaviest_pair is None:
             self.fail("no two antifaces share a vertex")
         p, q = shape.heaviest_pair
@@ -234,27 +232,27 @@ class _Reducer:
         k = self.profile.k
         if overlap <= k:
             label = "2.1.1"
-            cert = check_three_neighbor_corollary(self.emb, first, table)
+            cert = check_three_neighbor_corollary(self.emb, first)
         elif overlap >= 3 * k + 4:
             label = "2.1.2"
-            cert = check_diamond_corollary(self.emb, first, second, table)
+            cert = check_diamond_corollary(self.emb, first, second)
         elif overlap == 3 * k + 3:
             label = "2.1.3"
             if k == 0:
-                cert = check_diamond_corollary(self.emb, first, second, table)
+                cert = check_diamond_corollary(self.emb, first, second)
             else:
-                cert = self.bipartite_core_route(table, first, second)
+                cert = self.bipartite_core_route(touch, first, second)
         else:
             label = "2.1.4"
-            cert = check_three_neighbor_corollary(self.emb, first, table)
+            cert = check_three_neighbor_corollary(self.emb, first)
         if cert is None:
             self.fail(f"case {label}: applicability check failed")
         self.merge_cert(cert, label)
 
-    def bipartite_core_route(self, table, big, partner):
+    def bipartite_core_route(self, touch, big, partner):
         """Case 2.1.3 with k >= 1: candidates from a dense bipartite core
         between the big face's private vertices and the shared ones."""
-        shared = set(table.common_vertices(big.key, partner.key))
+        shared = set(touch.link_vertices(big.key, partner.key))
         private = sorted(big.vertex_set() - partner.vertex_set())
         adjacency = underlying_simple_graph(self.digraph)
         graph = {v: set() for v in private}
@@ -266,9 +264,9 @@ class _Reducer:
                     graph[v].add(w)
                     graph[w].add(v)
         survivors = extract_dense_subgraph(graph, 2)
-        return three_neighbor_search(self.emb, big, sorted(survivors), table)
+        return three_neighbor_search(self.emb, big, sorted(survivors))
 
-    def case_no_loops_star(self, table, touch, shape):
+    def case_no_loops_star(self, touch, shape):
         center_key = shape.star_center
         center = self.emb.antiface(center_key)
         k = self.profile.k
@@ -279,9 +277,9 @@ class _Reducer:
                 partner_key, partner_overlap = other, count
         if partner_key is None:
             self.fail("case 2.2: the star center touches no other face")
-        pool = table.two_face_vertices(center_key)
+        pool = touch.two_face_vertices(center_key)
         if len(pool) - partner_overlap >= k + 3:
-            cert = check_three_neighbor_corollary(self.emb, center, table)
+            cert = check_three_neighbor_corollary(self.emb, center)
             if cert is None:
                 self.fail("case 2.2: margin route inapplicable despite the margin")
             self.merge_cert(cert, "2.2")
@@ -293,7 +291,7 @@ class _Reducer:
         new1, new2 = self.blow(center_key, third_key, "2.2")
         if self.merge_reducible_vertex():
             return
-        table2, touch2, shape2 = self.shape_after_blow_up((new1, new2))
+        touch2, shape2 = self.shape_after_blow_up((new1, new2))
         if not shape2.loop_nodes:
             return  # the next iteration lands in a merging case
         looped_key = min(
@@ -301,9 +299,7 @@ class _Reducer:
             key=lambda key: (-len(touch2.loop_vertices(key)), key),
         )
         other = new1 if looped_key == new2.key else new2
-        cert = check_big_moderate(
-            self.emb, self.emb.antiface(looped_key), partner, other, table2
-        )
+        cert = check_big_moderate(self.emb, self.emb.antiface(looped_key), partner, other)
         if cert is None:
             self.fail("case 2.2: size hypotheses fail after the blow up")
         self.merge_cert(cert, "2.2")
@@ -328,7 +324,7 @@ class _Reducer:
         new1, new2 = self.blow(loop_key, partner_key, "3.1")
         if self.merge_reducible_vertex():
             return
-        cert = check_big_moderate(self.emb, anchor, new1, new2, TypeTable(self.emb))
+        cert = check_big_moderate(self.emb, anchor, new1, new2)
         if cert is None:
             self.fail("case 3.1: size hypotheses fail after the blow up")
         self.merge_cert(cert, "3.1")
@@ -345,7 +341,7 @@ class _Reducer:
         new1, new2 = self.blow(partner_key, candidates[0], "3.2.1")
         if self.merge_reducible_vertex():
             return
-        cert = check_big_moderate(self.emb, loop, new1, new2, TypeTable(self.emb))
+        cert = check_big_moderate(self.emb, loop, new1, new2)
         if cert is None:
             self.fail("case 3.2.1: size hypotheses fail after the blow up")
         self.merge_cert(cert, "3.2.1")
@@ -355,7 +351,7 @@ class _Reducer:
         new1, new2 = self.blow(loop_key, partner_key, "3.2.2")
         if self.merge_reducible_vertex():
             return
-        _, touch2, shape2 = self.shape_after_blow_up((new1, new2))
+        touch2, shape2 = self.shape_after_blow_up((new1, new2))
         if len(shape2.loop_nodes) != 1:
             return  # no loops or two loops: an earlier case handles it next
         looped_key = shape2.loop_nodes[0]
@@ -369,7 +365,7 @@ class _Reducer:
         next1, next2 = self.blow(looped_key, candidates[0], "3.2.2")
         if self.merge_reducible_vertex():
             return
-        table3, touch3, shape3 = self.shape_after_blow_up((next1, next2))
+        touch3, shape3 = self.shape_after_blow_up((next1, next2))
         if not shape3.loop_nodes:
             return
         final_key = min(
@@ -377,12 +373,25 @@ class _Reducer:
             key=lambda key: (-len(touch3.loop_vertices(key)), key),
         )
         other = next1 if final_key == next2.key else next2
-        cert = check_big_moderate(
-            self.emb, self.emb.antiface(final_key), sibling, other, table3
-        )
+        cert = check_big_moderate(self.emb, self.emb.antiface(final_key), sibling, other)
         if cert is None:
             self.fail("case 3.2.2: size hypotheses fail after the blow ups")
         self.merge_cert(cert, "3.2.2")
+
+
+def _check_mode(digraph, mode):
+    """Reject an unknown mode, and in strict mode a digraph outside the
+    theorem's hypotheses of order at least 7 and density."""
+    if mode not in (STRICT, BEST_EFFORT):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == STRICT:
+        profile = density_profile(digraph)
+        if digraph.n < 7 or not profile.dense:
+            raise HypothesisError(
+                f"strict mode needs order >= 7 and 5 * min_degree >= 4n + 2; "
+                f"got n = {profile.n}, min_degree = {profile.min_degree}, "
+                f"k = {profile.k}"
+            )
 
 
 def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
@@ -394,22 +403,13 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
     moves on any eulerian connected digraph and raises NoProgressError at a
     dead end.
     """
-    if mode not in (STRICT, BEST_EFFORT):
-        raise ValueError(f"unknown mode {mode!r}")
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
     if not digraph.is_balanced():
         raise GraphError("digraph is not balanced")
     if not digraph.is_connected():
         raise GraphError("digraph is not connected")
-    if mode == STRICT:
-        profile = density_profile(digraph)
-        if digraph.n < 7 or not profile.dense:
-            raise HypothesisError(
-                f"strict mode needs order >= 7 and 5 * min_degree >= 4n + 2; "
-                f"got n = {profile.n}, min_degree = {profile.min_degree}, "
-                f"k = {profile.k}"
-            )
+    _check_mode(digraph, mode)
     if digraph.n <= 2:
         return small_order_embedding(digraph, decomposition)
     embedding = embed_from_decomposition(digraph, decomposition)
@@ -421,8 +421,7 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
                      validate_steps=False):
     """Continue reducing an existing embedding whose profaces are already
     the given circuits.  Same contract as reduce_to_upper_embedding."""
-    if mode not in (STRICT, BEST_EFFORT):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(embedding.digraph, mode)
     traced = {f.arcs() for f in embedding.profaces}
     if traced != set(decomposition.canonical_set()):
         raise EmbeddingError("embedding profaces do not match the decomposition")

@@ -1,85 +1,31 @@
-"""Touch graph: antifaces as nodes, digraph vertices as edges.
+"""Checks on the touch graph, its star/loop classification, and DOT export.
 
-A vertex lying on two antifaces is a link between them; a vertex lying on
-just one is a loop there.  In a locally irreducible embedding every vertex
-is one or the other, so the touch graph has exactly n edges.
+The touch graph itself is ``interlace.TypeTable``: antifaces as nodes,
+digraph vertices as edges, a vertex on one antiface being a loop there and
+a vertex on two a link between them.
 """
-
-from collections import deque
 
 from .digraph import density_profile
 from .errors import EmbeddingError
 from .interlace import TypeTable
 
 
-class TouchGraph:
-    """Multigraph of antiface adjacency induced by shared vertices; its
-    nodes are antiface keys and ``faces`` maps each one to its face."""
-
-    __slots__ = ("faces", "nodes", "loops", "links", "_neighbors")
-
-    def __init__(self, table, n):
-        self.faces = table.faces
-        self.nodes = tuple(sorted(table.faces))
-        loops = {key: [] for key in self.nodes}
-        links = {}
-        for v in sorted(table.membership):
-            keys = table.membership[v]
-            if len(keys) == 1:
-                loops[keys[0]].append(v)
-            else:
-                links.setdefault(keys, []).append(v)
-        # each vertex is one loop or one link
-        if len(table.membership) != n:
-            raise EmbeddingError(
-                f"touch graph has {len(table.membership)} edges but the digraph has {n} vertices"
-            )
-        self.loops = {key: tuple(vs) for key, vs in loops.items()}
-        self.links = {pair: tuple(vs) for pair, vs in links.items()}
-        neighbors = {key: set() for key in self.nodes}
-        for p, q in self.links:
-            neighbors[p].add(q)
-            neighbors[q].add(p)
-        self._neighbors = {key: tuple(sorted(ns)) for key, ns in neighbors.items()}
-
-    def neighbors(self, key):
-        return self._neighbors[key]
-
-    def link_vertices(self, key_p, key_q):
-        return self.links.get(tuple(sorted((key_p, key_q))), ())
-
-    def loop_vertices(self, key):
-        return self.loops[key]
-
-    def edge_count(self):
-        return sum(len(vs) for vs in self.loops.values()) + \
-            sum(len(vs) for vs in self.links.values())
-
-    def is_connected(self):
-        if len(self.nodes) <= 1:
-            return True
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            key = queue.popleft()
-            for other in self._neighbors[key]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return len(seen) == len(self.nodes)
-
-
-def build_touch_graph(embedding, table=None):
+def build_touch_graph(embedding):
     """Touch graph of a locally irreducible embedding; fails loudly with the
     offending vertex otherwise."""
-    table = table if table is not None else TypeTable(embedding)
-    touch = TouchGraph(table, embedding.digraph.n)
+    touch = TypeTable(embedding)
+    n = embedding.digraph.n
+    # each vertex is one loop or one link
+    if touch.edge_count() != n:
+        raise EmbeddingError(
+            f"touch graph has {touch.edge_count()} edges but the digraph has {n} vertices"
+        )
     floor = 1 + density_profile(embedding.digraph).min_degree
     for key, vs in touch.loops.items():
         if not vs:
             continue
         # a private vertex drags all its neighbors onto the same face
-        size = len(table.faces[key].vertex_set())
+        size = len(touch.faces[key].vertex_set())
         if size < floor:
             raise EmbeddingError(
                 f"antiface with private vertex {vs[0]} visits {size} vertices, "

@@ -11,7 +11,7 @@ from eulergenus import (CircuitDecomposition, Digraph, enumerate_relative_embedd
                         reduce_to_upper_embedding)
 from eulergenus.cli import main
 
-from conftest import circulant
+from conftest import circulant, nth_state
 
 
 def run(argv, capsys):
@@ -137,6 +137,40 @@ def test_faces_json_and_touch_graph(tmp_path, capsys):
     assert code == 0
     assert out.startswith("graph touch {")
     assert 'f0 -- f0 [label="7"]' in out
+
+
+def test_faces_without_a_touch_graph(tmp_path, capsys):
+    # state 0 of the 7-tournament has a vertex on three antifaces: its faces
+    # trace and verify, but the touch graph is undefined
+    digraph = gen_rotational_tournament(7)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    emb = nth_state(digraph, decomposition, 0)
+    assert len(emb.antifaces) == 3
+    g, c, e, f = (tmp_path / name for name in ("g.json", "c.json", "e.json", "f.json"))
+    g.write_text(json.dumps(digraph.to_json_dict()))
+    c.write_text(json.dumps(decomposition.to_json_dict()))
+    e.write_text(json.dumps(emb.to_json_dict()))
+    code, out, err = run(
+        ["verify", "--in", str(g), "--circuits", str(c), "--embedding", str(e)], capsys
+    )
+    assert code == 0
+
+    code, out, err = run(
+        ["faces", "--in", str(g), "--embedding", str(e), "--out", str(f)], capsys
+    )
+    assert code == 0
+    assert _compact_json(f) == {
+        "profaces": [list(face.walk) for face in emb.profaces],
+        "antifaces": [list(face.walk) for face in emb.antifaces],
+        "touch": None,
+    }
+
+    code, out, err = run(
+        ["faces", "--in", str(g), "--embedding", str(e), "--dot"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: vertex 0 lies on 3 antifaces" in err
 
 
 def _compact_json(path):

@@ -43,9 +43,9 @@ def test_type_table_records_membership(double_digon):
     a, b = sorted(table.faces)
     assert table.faces_at(0) == (a, b)
     assert table.faces_at(1) == (a, b)
-    assert table.common_vertices(a, b) == (0, 1)
-    assert table.common_vertices(b, a) == (0, 1)
-    assert table.single_face_vertices(a) == ()
+    assert table.link_vertices(a, b) == (0, 1)
+    assert table.link_vertices(b, a) == (0, 1)
+    assert table.loop_vertices(a) == ()
     assert table.two_face_vertices(a) == (0, 1)
     assert table.partner(0, a) == b
     with pytest.raises(Exception, match="does not lie on the given face"):
@@ -127,6 +127,40 @@ def _membership_starts():
         yield emb
 
 
+def _assert_types_match_the_scans(table, membership):
+    """The grouped touch graph against per-query scans of every vertex."""
+
+    def link_scan(key_a, key_b):
+        pair = tuple(sorted((key_a, key_b)))
+        return tuple(v for v in sorted(membership) if membership[v] == pair)
+
+    def loop_scan(key):
+        return tuple(v for v in sorted(membership) if membership[v] == (key,))
+
+    def two_face_scan(key):
+        return tuple(
+            v for v in sorted(membership)
+            if len(membership[v]) == 2 and key in membership[v]
+        )
+
+    keys = sorted(table.faces)
+    assert table.nodes == tuple(keys)
+    assert table.loops == {key: loop_scan(key) for key in keys}
+    links = {}
+    for a, b in itertools.combinations(keys, 2):
+        shared = link_scan(a, b)
+        assert table.link_vertices(a, b) == shared == table.link_vertices(b, a)
+        if shared:
+            links[(a, b)] = shared
+    assert table.links == links
+    for key in keys:
+        assert table.loop_vertices(key) == loop_scan(key)
+        assert table.two_face_vertices(key) == two_face_scan(key)
+        assert table.neighbors(key) == tuple(
+            other for other in keys if other != key and link_scan(key, other)
+        )
+
+
 def test_one_membership_structure_matches_the_reference_scans():
     checked_irreducible = 0
     crowded = Counter()
@@ -144,7 +178,9 @@ def test_one_membership_structure_matches_the_reference_scans():
             want = _reference_find_three(emb)
             if want is None:
                 assert hit is None
-                assert TypeTable(emb).membership == reference
+                table = TypeTable(emb)
+                assert table.membership == reference
+                _assert_types_match_the_scans(table, reference)
                 checked_irreducible += 1
                 break
             assert hit[0] == want[0]
@@ -200,7 +236,7 @@ def test_three_neighbor_search_rejects_off_face_candidates(tournament7):
     outside = [v for v in range(digraph.n) if v not in pool]
     if outside:
         with pytest.raises(HypothesisError, match="exactly one other antiface"):
-            three_neighbor_search(emb, face, [outside[0]], table)
+            three_neighbor_search(emb, face, [outside[0]])
 
 
 def test_three_neighbor_search_needs_three_cross_neighbors(tournament7):
@@ -211,7 +247,7 @@ def test_three_neighbor_search_needs_three_cross_neighbors(tournament7):
     pool = table.two_face_vertices(face.key)
     # a single candidate has zero cross-type candidate neighbors
     with pytest.raises(HypothesisError, match="has only 0 cross-type"):
-        three_neighbor_search(emb, face, [pool[0]], table)
+        three_neighbor_search(emb, face, [pool[0]])
 
 
 def _irreducible_states(digraph, decomposition):
@@ -221,6 +257,20 @@ def _irreducible_states(digraph, decomposition):
         if find_vertex_on_three_antifaces(emb) is not None:
             continue
         yield emb, TypeTable(emb)
+
+
+def test_touch_groups_match_the_scans_where_faces_have_several_neighbours(tournament7, sts7):
+    # the climbed states above link few faces; in these every state has a
+    # face touching two or more others
+    states = 0
+    for digraph, decomposition in (tournament7, sts7):
+        for emb, table in _irreducible_states(digraph, decomposition):
+            reference = {v: tuple(f.key for f in fs)
+                         for v, fs in _reference_on_faces(emb).items()}
+            assert any(len(table.neighbors(key)) >= 2 for key in table.nodes)
+            _assert_types_match_the_scans(table, reference)
+            states += 1
+    assert states == 7
 
 
 def test_margin_gate_matches_the_returned_value(tournament7, sts7):
@@ -234,7 +284,7 @@ def test_margin_gate_matches_the_returned_value(tournament7, sts7):
                 pool = table.two_face_vertices(face.key)
                 overlap = max(
                     (
-                        len(table.common_vertices(face.key, other))
+                        len(table.link_vertices(face.key, other))
                         for other in table.faces
                         if other != face.key
                     ),
@@ -242,7 +292,7 @@ def test_margin_gate_matches_the_returned_value(tournament7, sts7):
                 )
                 gated = not pool or len(pool) - overlap < k + 3
                 try:
-                    got = check_three_neighbor_corollary(emb, face, table)
+                    got = check_three_neighbor_corollary(emb, face)
                 except HypothesisError:
                     assert not gated
                     continue
@@ -267,7 +317,7 @@ def test_size_gate_matches_the_returned_value(tournament7, sts7):
                 or len(c.vertex_set()) < 2 * k + 3
             )
             try:
-                got = check_big_moderate(emb, a, b, c, table)
+                got = check_big_moderate(emb, a, b, c)
             except HypothesisError:
                 assert not small
                 continue
@@ -285,12 +335,12 @@ def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7):
         k = density_profile(digraph).k
         for emb, table in _irreducible_states(digraph, decomposition):
             for a, b in itertools.combinations(emb.antifaces, 2):
-                shared = table.common_vertices(a.key, b.key)
+                shared = table.link_vertices(a.key, b.key)
                 few = not (
                     (k == 0 and len(shared) >= 3) or len(shared) >= 3 * k + 4
                 )
                 try:
-                    got = check_diamond_corollary(emb, a, b, table)
+                    got = check_diamond_corollary(emb, a, b)
                 except HypothesisError:
                     assert not few
                     continue
@@ -306,7 +356,7 @@ def test_certificates_really_interlace(tournament7, sts7):
         for emb, table in _irreducible_states(digraph, decomposition):
             for face in emb.antifaces:
                 try:
-                    cert = check_three_neighbor_corollary(emb, face, table)
+                    cert = check_three_neighbor_corollary(emb, face)
                 except HypothesisError:
                     continue
                 if cert is None:

@@ -39,12 +39,18 @@ def circ11():
 
 def test_strict_mode_rejects_sparse_digraphs(circ11):
     digraph, decomposition = circ11
-    with pytest.raises(HypothesisError) as err:
-        reduce_to_upper_embedding(digraph, decomposition, mode=STRICT)
-    assert str(err.value) == (
-        "strict mode needs order >= 7 and 5 * min_degree >= 4n + 2; "
-        "got n = 11, min_degree = 6, k = 4"
-    )
+    start = embed_from_decomposition(digraph, decomposition)
+    assert len(start.antifaces) > 2
+    for attempt in (
+        lambda: reduce_to_upper_embedding(digraph, decomposition, mode=STRICT),
+        lambda: reduce_embedding(start, decomposition, mode=STRICT),
+    ):
+        with pytest.raises(HypothesisError) as err:
+            attempt()
+        assert str(err.value) == (
+            "strict mode needs order >= 7 and 5 * min_degree >= 4n + 2; "
+            "got n = 11, min_degree = 6, k = 4"
+        )
 
 
 def test_strict_mode_rejects_small_orders():
@@ -52,6 +58,9 @@ def test_strict_mode_rejects_small_orders():
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     with pytest.raises(HypothesisError, match="order >= 7"):
         reduce_to_upper_embedding(digraph, decomposition, mode=STRICT)
+    start = embed_from_decomposition(digraph, decomposition)
+    with pytest.raises(HypothesisError, match="order >= 7"):
+        reduce_embedding(start, decomposition, mode=STRICT)
 
 
 def test_unknown_mode_is_a_value_error(tournament7):

@@ -4,8 +4,8 @@ import pytest
 
 from eulergenus import (
     CircuitDecomposition,
+    Digraph,
     EmbeddingError,
-    TouchGraph,
     TypeTable,
     build_touch_graph,
     classify,
@@ -18,12 +18,17 @@ from eulergenus import (
 from conftest import nth_state
 
 
-class _Table:
-    """Hand-written face membership, for shapes real states rarely reach."""
+class _Stub:
+    """An embedding reduced to hand-written face membership, for shapes real
+    states rarely reach; ``digraph`` is there for ``build_touch_graph``."""
 
-    def __init__(self, faces, membership):
+    def __init__(self, faces, membership, digraph=None):
         self.faces = {key: None for key in faces}
         self.membership = membership
+        self.digraph = digraph
+
+    def antiface_index(self):
+        return self.faces, self.membership
 
 
 def test_two_antifaces_sharing_both_vertices(double_digon):
@@ -54,18 +59,11 @@ def test_single_antiface_is_all_loops(tournament7):
     assert touch.is_connected()
 
 
-def test_touch_graph_accepts_a_precomputed_table(double_digon):
-    digraph, decomposition = double_digon
-    emb = nth_state(digraph, decomposition, 0)
-    table = TypeTable(emb)
-    touch = build_touch_graph(emb, table)
-    assert touch.edge_count() == digraph.n
-
-
 def test_edge_count_must_equal_vertex_count():
-    table = _Table(faces=[("a",), ("b",)], membership={0: (("a",),)})
+    stub = _Stub(faces=[("a",), ("b",)], membership={0: (("a",),)},
+                 digraph=Digraph(2, [(0, 1), (1, 0)]))
     with pytest.raises(EmbeddingError, match="touch graph has 1 edges but the digraph has 2"):
-        TouchGraph(table, 2)
+        build_touch_graph(stub)
 
 
 class _Vertices:
@@ -79,12 +77,12 @@ class _Vertices:
 def test_a_private_vertex_needs_a_face_on_all_its_neighbours(tournament7):
     # every vertex of the 7-tournament has 6 simple neighbours, so a face
     # holding a private vertex must visit all 7 vertices
-    digraph, decomposition = tournament7
-    emb = nth_state(digraph, decomposition, 0)
-    table = _Table(faces=[("a",)], membership={v: (("a",),) for v in range(7)})
-    table.faces[("a",)] = _Vertices(range(3))
+    digraph, _ = tournament7
+    stub = _Stub(faces=[("a",)], membership={v: (("a",),) for v in range(7)},
+                 digraph=digraph)
+    stub.faces[("a",)] = _Vertices(range(3))
     with pytest.raises(EmbeddingError, match="visits 3 vertices, fewer than 7"):
-        build_touch_graph(emb, table)
+        build_touch_graph(stub)
 
 
 def test_classification_of_a_shared_pair(double_digon):
@@ -110,11 +108,11 @@ def test_single_node_counts_as_a_star(tournament7):
 
 def test_classify_star_with_three_leaves():
     a, b, c, d = ("a",), ("b",), ("c",), ("d",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c, d],
         membership={0: (a, b), 1: (a, c), 2: (a, d), 3: (a, b)},
     )
-    shape = classify(TouchGraph(table, 4))
+    shape = classify(TypeTable(stub))
     assert shape.is_star and shape.star_center == a
     assert shape.loop_nodes == ()
     assert shape.heaviest_pair == (a, b)
@@ -123,11 +121,11 @@ def test_classify_star_with_three_leaves():
 
 def test_classify_path_centers_on_the_middle():
     a, b, c = ("a",), ("b",), ("c",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c],
         membership={0: (a, b), 1: (b, c), 2: (a, b), 3: (b, c)},
     )
-    shape = classify(TouchGraph(table, 4))
+    shape = classify(TypeTable(stub))
     # b sits on every link, so a three-node path is a star centered there
     assert shape.is_star
     assert shape.star_center == b
@@ -135,11 +133,11 @@ def test_classify_path_centers_on_the_middle():
 
 def test_classify_triangle_is_not_a_star():
     a, b, c = ("a",), ("b",), ("c",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c],
         membership={0: (a, b), 1: (b, c), 2: (a, c)},
     )
-    shape = classify(TouchGraph(table, 3))
+    shape = classify(TypeTable(stub))
     assert not shape.is_star
     assert shape.star_center is None
     assert shape.loop_nodes == ()
@@ -150,22 +148,22 @@ def test_classify_triangle_is_not_a_star():
 
 def test_classify_two_looped_faces():
     a, b = ("a",), ("b",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b],
         membership={0: (a,), 1: (b,), 2: (a, b)},
     )
-    shape = classify(TouchGraph(table, 3))
+    shape = classify(TypeTable(stub))
     assert shape.loop_nodes == (a, b)
     assert not shape.is_star
 
 
 def test_classify_loop_with_a_single_neighbor():
     a, b, c = ("a",), ("b",), ("c",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c],
         membership={0: (a,), 1: (a, b), 2: (b, c)},
     )
-    touch = TouchGraph(table, 3)
+    touch = TypeTable(stub)
     shape = classify(touch)
     assert shape.loop_nodes == (a,)
     assert touch.neighbors(a) == (b,)
@@ -174,11 +172,11 @@ def test_classify_loop_with_a_single_neighbor():
 
 def test_classify_loop_with_two_neighbors():
     a, b, c = ("a",), ("b",), ("c",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c],
         membership={0: (a,), 1: (a, b), 2: (a, c)},
     )
-    touch = TouchGraph(table, 3)
+    touch = TypeTable(stub)
     shape = classify(touch)
     assert shape.loop_nodes == (a,)
     assert touch.neighbors(a) == (b, c)
@@ -186,11 +184,11 @@ def test_classify_loop_with_two_neighbors():
 
 def test_disconnected_touch_graph_is_reported():
     a, b, c, d = ("a",), ("b",), ("c",), ("d",)
-    table = _Table(
+    stub = _Stub(
         faces=[a, b, c, d],
         membership={0: (a, b), 1: (c, d)},
     )
-    assert not TouchGraph(table, 2).is_connected()
+    assert not TypeTable(stub).is_connected()
 
 
 def test_looped_faces_span_almost_everything(tournament7):

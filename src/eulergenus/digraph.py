@@ -18,6 +18,25 @@ from collections import deque
 
 from .errors import GraphError
 
+# Past 256 every computed int is a new 32-byte object, so each digraph,
+# circuit and forward map would hold its own copy of the same ids.  The
+# first digraph with larger ids builds one table of the ints below this
+# bound, which every later one shares: digraphs of up to 8192 arcs hold a
+# pointer per half-arc and arc id.  Smaller ids are shared by the
+# interpreter already, and larger digraphs compute their own.
+_SHARED_IDS = 1 << 14
+_shared_ids = None
+
+
+def _ids(size):
+    """A sequence whose item i is the int i, for i below ``size``."""
+    global _shared_ids
+    if not 257 <= size <= _SHARED_IDS:
+        return range(size)
+    if _shared_ids is None:
+        _shared_ids = tuple(range(_SHARED_IDS))
+    return _shared_ids
+
 
 def mate(h):
     """Other half of the same arc."""
@@ -48,9 +67,11 @@ class Digraph:
         self.arcs = arcs
         out = [[] for _ in range(n)]
         inc = [[] for _ in range(n)]
-        for a, (t, h) in enumerate(arcs):
-            out[t].append(2 * a)
-            inc[h].append(2 * a + 1)
+        size = 2 * len(arcs)
+        ids = _ids(size)
+        for (t, h), g, i in zip(arcs, ids[0:size:2], ids[1:size:2]):
+            out[t].append(g)
+            inc[h].append(i)
         # append order is ascending arc id, so the lists are already sorted
         self._out = tuple(tuple(hs) for hs in out)
         self._in = tuple(tuple(hs) for hs in inc)
@@ -170,7 +191,7 @@ class DirectedCircuit:
                     f"but arc {b} starts at {arcs[b][0]}"
                 )
         self.digraph = digraph
-        self.arc_ids = arc_ids
+        self.arc_ids = tuple(map(_ids(m).__getitem__, arc_ids))
 
     def __len__(self):
         return len(self.arc_ids)
@@ -210,10 +231,11 @@ class CircuitDecomposition:
         self.circuits = circuits
         # forward map: the incoming half of each arc to the outgoing half of
         # the next arc on its circuit; a per-vertex bijection by construction
-        self.fw = dict(zip(
-            [2 * a + 1 for c in circuits for a in c.arc_ids],
-            [2 * b for c in circuits for b in c.arc_ids[1:] + c.arc_ids[:1]],
-        ))
+        ids = _ids(2 * digraph.m)
+        self.fw = {
+            ids[2 * a + 1]: ids[2 * b]
+            for c in circuits for a, b in zip(c.arc_ids, c.arc_ids[1:] + c.arc_ids[:1])
+        }
 
     def __len__(self):
         return len(self.circuits)

@@ -18,18 +18,33 @@ at most two count-preserving blow ups:
 Strict mode demands order at least 7 and the density flag up front and the
 guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors.
+
+Cost model.  On dense inputs nearly every step is case 1, and the merged
+antiface keeps growing, so the reducer does not run case 1 on embeddings.
+It keeps the antifaces in a private core: the block order at each vertex
+and a union-find over arc ids whose roots are the orbits' least arcs, so
+``2 * root`` is a face key.  A case-1 step reorders the blocks at one vertex
+and unions three orbits, costing O(deg v · α) whatever the faces' lengths.
+Every other step needs the touch graph and the surgeries, so it builds an
+``OrientedDirectedEmbedding`` from the core (one full trace, O(m)), runs on
+it, and reloads the core from the result.  The final embedding is built
+once, and ``validate_steps=True`` builds and verifies one after every step.
+Each built embedding must have exactly the core's orbits as antifaces.
 """
+
+import heapq
 
 from .digraph import (CircuitDecomposition, Digraph, DirectedCircuit,
                       density_profile, underlying_simple_graph)
-from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
+from .embedding import (OrientedDirectedEmbedding, _blocks,
+                        embed_from_decomposition, flat_rotation,
                         verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
 from .interlace import (check_big_moderate, check_diamond_corollary,
                         check_three_neighbor_corollary, extract_dense_subgraph,
-                        find_vertex_on_three_antifaces, three_neighbor_search)
-from .surgery import blow_up, merge_interlaced, merge_three_at_vertex
+                        three_neighbor_search)
+from .surgery import _three_cycle, blow_up, merge_interlaced
 from .touch import build_touch_graph, classify
 
 STRICT = "strict"
@@ -120,6 +135,122 @@ class ReductionTrace:
         return f"ReductionTrace({len(self.steps)} steps)"
 
 
+class _AntifaceCore:
+    """The antifaces of an embedding with fixed profaces, kept for case 1.
+
+    ``blocks[v]`` is the (outgoing, incoming) block order at v, clockwise
+    from the first block of the rotation it was read from, and ``parent``
+    a union-find over arc ids: an arc's orbit is its antiface, and each
+    root is its orbit's least arc, so ``2 * root`` is the face key and a
+    union is a min.  ``crowded`` is a min-heap of the vertices that were on
+    three or more orbits when the core was loaded; merges only union
+    orbits, so no vertex joins it later, and its lowest vertex is
+    re-checked and popped until one still qualifies.  ``rotations`` are
+    those of the last embedding read or built, and ``dirty`` the vertices
+    whose blocks have moved since.
+    """
+
+    __slots__ = ("digraph", "rotations", "blocks", "dirty", "parent", "roots", "crowded")
+
+    def __init__(self, embedding):
+        self.digraph = embedding.digraph
+        self.load(embedding)
+
+    def load(self, embedding):
+        """Read the block orders and antiface orbits of ``embedding``."""
+        digraph = self.digraph
+        m = digraph.m
+        self.rotations = list(embedding.rotations)
+        self.blocks = []
+        self.dirty = set()
+        after = [0] * m  # arc -> the next arc on its antiface
+        for v, rotation in enumerate(self.rotations):
+            blocks = _blocks(rotation)
+            if blocks is None:
+                raise EmbeddingError(f"rotation at vertex {v} does not alternate")
+            outgoing, incoming = blocks
+            self.blocks.append(list(zip(outgoing, incoming)))
+            for h, g in zip(incoming, outgoing[1:] + outgoing[:1]):
+                after[h >> 1] = g >> 1
+        parent = [-1] * m
+        for root in range(m):
+            a = root
+            while parent[a] < 0:
+                parent[a] = root
+                a = after[a]
+        self.parent = parent
+        self.roots = {a for a in range(m) if parent[a] == a}
+        self.crowded = [
+            v for v in range(digraph.n)
+            if len({parent[h >> 1] for h in digraph.in_half_arcs(v)}) > 2
+        ]
+
+    def count(self):
+        return len(self.roots)
+
+    def find(self, a):
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    def lowest_crowded(self):
+        """The lowest vertex on three or more antifaces and the roots of its
+        three least, or None; as ``find_vertex_on_three_antifaces``."""
+        crowded = self.crowded
+        while crowded:
+            v = crowded[0]
+            roots = sorted({self.find(h >> 1) for h in self.digraph.in_half_arcs(v)})
+            if len(roots) > 2:
+                return v, roots[:3]
+            heapq.heappop(crowded)
+        return None
+
+    def merge(self, v, roots):
+        """Merge the antifaces with the three given roots at v, as
+        ``merge_three_at_vertex``: each arrives on its lowest incoming half
+        at v, the blocks of those halves take ``_three_cycle``, and the
+        three orbits become one."""
+        if len(set(roots)) != 3:
+            raise EmbeddingError("the three antifaces must be distinct")
+        arrival = {}
+        for h in self.digraph.in_half_arcs(v):
+            root = self.find(h >> 1)
+            if root in roots and root not in arrival:
+                arrival[root] = h
+        if len(arrival) != 3:
+            raise EmbeddingError(f"the three antifaces do not all visit vertex {v}")
+        blocks = self.blocks[v]
+        chosen = set(arrival.values())
+        self.blocks[v] = _three_cycle(
+            blocks, *[i for i, (_, h) in enumerate(blocks) if h in chosen]
+        )
+        self.dirty.add(v)
+        # successors 3-cycled over three distinct orbits join them into one
+        low = min(roots)
+        for root in roots:
+            self.parent[root] = low
+        self.roots.difference_update(roots)
+        self.roots.add(low)
+
+    def embedding(self):
+        """The embedding the core describes; its faces are traced when read."""
+        for v in self.dirty:
+            self.rotations[v] = flat_rotation(self.blocks[v])
+        self.dirty.clear()
+        return OrientedDirectedEmbedding(self.digraph, self.rotations)
+
+    def check(self, embedding):
+        """``embedding``, once its antifaces are exactly the core's orbits."""
+        keys = [face.key for face in embedding.antifaces]
+        if keys != sorted(2 * root for root in self.roots):
+            raise EmbeddingError(
+                f"the embedding's {len(keys)} antifaces are not the core's "
+                f"{len(self.roots)} orbits"
+            )
+        return embedding
+
+
 class _Reducer:
     def __init__(self, embedding, decomposition, mode, validate_steps):
         self.digraph = embedding.digraph
@@ -128,10 +259,24 @@ class _Reducer:
         self.mode = mode
         self.validate_steps = validate_steps
         self.trace = ReductionTrace()
-        self.emb = embedding
+        self.core = _AntifaceCore(embedding)
+        self._emb = embedding  # None while the core is ahead of it
+
+    @property
+    def emb(self):
+        """The current embedding, built from the core after case-1 merges."""
+        if self._emb is None:
+            self._emb = self.core.check(self.core.embedding())
+        return self._emb
+
+    def adopt(self, embedding):
+        """Continue from a surgery's result."""
+        if embedding is not self._emb:
+            self._emb = embedding
+            self.core.load(embedding)
 
     def count(self):
-        return len(self.emb.antifaces)
+        return self.core.count()
 
     def fail(self, message):
         raise NoProgressError(message, self.trace)
@@ -139,22 +284,20 @@ class _Reducer:
     def record(self, case, operation, witness, count_before):
         self.trace.record(case, operation, witness, count_before, self.count())
         if self.validate_steps:
-            report = verify_embedding(self.emb, self.decomposition)
+            emb = self.core.embedding() if self._emb is None else self._emb
+            # verify first: it names the broken property, the core check
+            # only that the core and the embedding disagree
+            report = verify_embedding(emb, self.decomposition)
             if not report.ok:
                 raise EmbeddingError(report.summary())
-
-    def merge_three(self, v, faces, case="1"):
-        before = self.count()
-        result = merge_three_at_vertex(self.emb, v, *faces)
-        self.emb = result.embedding
-        self.record(case, "merge_three_at_vertex", {"vertex": v}, before)
+            self._emb = self.core.check(emb)
 
     def merge_cert(self, cert, case):
         before = self.count()
         result = merge_interlaced(
             self.emb, cert.face, cert.face_x, cert.face_y, cert.x, cert.y
         )
-        self.emb = result.embedding
+        self.adopt(result.embedding)
         self.record(case, "merge_interlaced", {"x": cert.x, "y": cert.y}, before)
 
     def blow(self, split_key, partner_key, case):
@@ -165,7 +308,7 @@ class _Reducer:
             self.fail(f"case {case}: the faces to blow up share no vertex")
         before = self.count()
         result = blow_up(self.emb, split, partner, shared[0])
-        self.emb = result.embedding
+        self.adopt(result.embedding)
         self.record(case, "blow_up", {"x": shared[0], "branch": result.branch}, before)
         if result.changed:
             return result.kept, result.merged
@@ -180,12 +323,15 @@ class _Reducer:
             raise EmbeddingError("a loop appeared on a face the blow up did not touch")
         return touch, shape
 
-    def merge_reducible_vertex(self, case="1"):
-        """Inline case-1 merge; True when one was available and applied."""
-        hit = find_vertex_on_three_antifaces(self.emb)
+    def merge_reducible_vertex(self):
+        """Case-1 merge on the core; True when one was available and applied."""
+        hit = self.core.lowest_crowded()
         if hit is None:
             return False
-        self.merge_three(hit[0], hit[1], case)
+        before = self.count()
+        self.core.merge(*hit)
+        self._emb = None
+        self.record("1", "merge_three_at_vertex", {"vertex": hit[0]}, before)
         return True
 
     def run(self):
@@ -422,9 +568,18 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     """Continue reducing an existing embedding whose profaces are already
     the given circuits.  Same contract as reduce_to_upper_embedding."""
     _check_mode(embedding.digraph, mode)
-    traced = {f.arcs() for f in embedding.profaces}
-    if traced != set(decomposition.canonical_set()):
+    # the profaces are the circuits exactly when each incoming half sits in
+    # a block with the outgoing half its circuit continues to
+    fw = decomposition.fw
+    if len(fw) != embedding.digraph.m:
         raise EmbeddingError("embedding profaces do not match the decomposition")
+    for v, rotation in enumerate(embedding.rotations):
+        blocks = _blocks(rotation)
+        if blocks is None:
+            raise EmbeddingError(f"rotation at vertex {v} does not alternate")
+        outgoing, incoming = blocks
+        if tuple(map(fw.get, incoming)) != outgoing:
+            raise EmbeddingError("embedding profaces do not match the decomposition")
     reducer = _Reducer(embedding, decomposition, mode, validate_steps)
     return reducer.run()
 
@@ -455,16 +610,16 @@ def small_order_embedding(digraph, decomposition):
                 digraph, decomposition, trace, forward[0], backward[0]
             )
 
-    emb = embed_from_decomposition(digraph, decomposition)
+    core = _AntifaceCore(embed_from_decomposition(digraph, decomposition))
     while True:
-        hit = find_vertex_on_three_antifaces(emb)
+        hit = core.lowest_crowded()
         if hit is None:
             break
-        before = len(emb.antifaces)
-        result = merge_three_at_vertex(emb, hit[0], *hit[1])
-        emb = result.embedding
+        before = core.count()
+        core.merge(*hit)
         trace.record("1", "merge_three_at_vertex", {"vertex": hit[0]},
-                     before, len(emb.antifaces))
+                     before, core.count())
+    emb = core.check(core.embedding())
     if len(emb.antifaces) > 2:
         # locally irreducible on two vertices: must be the path configuration
         spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]

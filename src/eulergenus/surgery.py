@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .digraph import density_profile
 from .embedding import flat_rotation, least_first
-from .errors import EmbeddingError, HypothesisError
-from .interlace import TypeTable
+from .errors import EmbeddingError, HypothesisError, LocalIrreducibilityError
+from .interlace import _crowded_vertex
 
 
 class SurgeryResult:
@@ -54,15 +54,21 @@ def _cyclic_slice(seq, i, j):
     return tuple(seq[i:]) + tuple(seq[:j + 1])
 
 
-def _rewire_three(embedding, v, h1, h2, h3):
-    """Advance the antiface departures after three incoming half-arcs at v.
+def _three_cycle(blocks, a, b, c):
+    """The block list with blocks a < b < c reordered to B_a, B_(b+1..c),
+    B_(a+1..b), B_(c+1..a-1).
 
-    With the blocks of the three half-arcs at positions a < b < c, the block
-    order is rewritten to B_a, B_(b+1..c), B_(a+1..b), B_(c+1..a-1).  The
-    effect is a 3-cycle on the antiface pairing: each chosen incoming now
-    continues to the old continuation of the clockwise-next chosen one.  All
-    blocks stay intact, so profaces are untouched.
+    The effect is a 3-cycle on the antiface pairing: each of the three
+    incoming halves now continues to the old continuation of the
+    clockwise-next one.  All blocks stay intact, so profaces are untouched.
     """
+    return (blocks[a:a + 1] + blocks[b + 1:c + 1] + blocks[a + 1:b + 1]
+            + blocks[c + 1:] + blocks[:a])
+
+
+def _rewire_three(embedding, v, h1, h2, h3):
+    """Advance the antiface departures after three incoming half-arcs at v,
+    by ``_three_cycle`` on the blocks that hold them."""
     blocks = list(embedding.blocks_at(v))
     pos = {h: i for i, (_, h) in enumerate(blocks)}
     for h in (h1, h2, h3):
@@ -71,13 +77,7 @@ def _rewire_three(embedding, v, h1, h2, h3):
     if len({h1, h2, h3}) != 3:
         raise EmbeddingError("the three incoming half-arcs must be distinct")
     a, b, c = sorted((pos[h1], pos[h2], pos[h3]))
-    reordered = (
-        [blocks[a]]
-        + blocks[b + 1:c + 1]
-        + blocks[a + 1:b + 1]
-        + blocks[c + 1:]
-        + blocks[:a]
-    )
+    reordered = _three_cycle(blocks, a, b, c)
     if len(reordered) != len(blocks):
         raise EmbeddingError(f"re-pairing at vertex {v} lost blocks")
     return embedding.with_rotation(v, flat_rotation(reordered))
@@ -344,7 +344,10 @@ def blow_up(embedding, face_a, face_b, x):
     digraph = embedding.digraph
     profile = density_profile(digraph)
     n, k = profile.n, profile.k
-    TypeTable(embedding)  # raises LocalIrreducibilityError
+    membership = embedding.antiface_index()[1]
+    crowded = _crowded_vertex(membership)
+    if crowded is not None:
+        raise LocalIrreducibilityError(crowded, membership[crowded])
     a = embedding.own_antiface(face_a)
     b = embedding.own_antiface(face_b)
     if a.key == b.key:

@@ -160,6 +160,29 @@ def test_decomposition_rejects_arc_reuse_across_circuits():
         CircuitDecomposition(dg, [c0, c0, c1])
 
 
+def test_digraphs_share_their_id_ints():
+    """Ids past 256 are one object in every digraph, circuit and forward
+    map, so a process holding many digraphs pays for each id once."""
+    first = circulant(101, (1, 2, 3))
+    second = circulant(103, (1, 2, 3))
+    first_dec = CircuitDecomposition(first, [euler_circuit(first)])
+    second_dec = CircuitDecomposition(second, [euler_circuit(second)])
+
+    def half(digraph, h):
+        t, head = digraph.arcs[h >> 1]
+        halves = digraph.in_half_arcs(head) if h & 1 else digraph.out_half_arcs(t)
+        return next(g for g in halves if g == h)
+
+    for h in (300, 301, 605):
+        assert half(first, h) is half(second, h)
+    for dec in (first_dec, second_dec):
+        digraph = dec.digraph
+        for h, g in dec.fw.items():
+            assert h is half(digraph, h) and g is half(digraph, g)
+    arc = next(a for a in first_dec.circuits[0].arc_ids if a == 280)
+    assert arc is next(a for a in second_dec.circuits[0].arc_ids if a == 280)
+
+
 def test_decomposition_successor_maps_incoming_to_next_outgoing():
     dg = Digraph(2, [(0, 1), (1, 0), (0, 0)])
     dec = CircuitDecomposition.from_arc_lists(dg, [[0, 1], [2]])

@@ -1,6 +1,9 @@
 """The reduction machine: case dispatch, traces, and entry points."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulergenus import (
     BEST_EFFORT,
@@ -17,6 +20,12 @@ from eulergenus import (
     embed_from_decomposition,
     euler_circuit,
     euler_genus,
+    find_vertex_on_three_antifaces,
+    gen_kn_minus_pm,
+    gen_random_dense_eulerian,
+    gen_rotational_tournament,
+    gen_sts,
+    merge_three_at_vertex,
     reduce_embedding,
     reduce_to_upper_embedding,
     relative_upper_from_partial,
@@ -25,9 +34,11 @@ from eulergenus import (
     undirected_upper_embedding,
     verify_embedding,
 )
-from eulergenus.reduce import ReductionStep, ReductionTrace
+from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore
+from eulergenus.surgery import _rewire_three
 
 from conftest import circulant, nth_state
+from test_reduction_traces import raise_antifaces, random_block_order
 
 
 @pytest.fixture(scope="module")
@@ -202,26 +213,155 @@ def test_dead_end_safety_bound_exemplar(circ11):
 
 def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
     """The per-step check is an exception, not an assert, so ``-O`` keeps it."""
-    from eulergenus import reduce as reduce_module
-
     digraph, decomposition = tournament7
-    real_merge = reduce_module.merge_three_at_vertex
+    real_merge = _AntifaceCore.merge
 
-    def corrupting_merge(embedding, v, *faces):
-        result = real_merge(embedding, v, *faces)
-        blocks = list(result.embedding.blocks_at(0))
+    def corrupting_merge(core, v, roots):
+        real_merge(core, v, roots)
+        blocks = core.blocks[0]
         (g0, h0), (g1, h1) = blocks[:2]
         blocks[:2] = [(g1, h0), (g0, h1)]  # re-pair two blocks: profaces change
-        rotation = tuple(h for block in blocks for h in block)
-        result.embedding = OrientedDirectedEmbedding(
-            digraph, (rotation,) + result.embedding.rotations[1:]
-        )
-        return result
+        core.dirty.add(0)
 
-    monkeypatch.setattr(reduce_module, "merge_three_at_vertex", corrupting_merge)
+    monkeypatch.setattr(_AntifaceCore, "merge", corrupting_merge)
     emb = nth_state(digraph, decomposition, 0)
     with pytest.raises(EmbeddingError, match="profaces-match"):
         reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=True)
+
+
+@pytest.mark.parametrize("validate_steps", [False, True])
+@pytest.mark.parametrize("corruption", ["unmerged", "wrong-root"])
+def test_a_core_that_disagrees_with_its_embedding_raises(
+        tournament7, monkeypatch, corruption, validate_steps):
+    """A built embedding must have exactly the core's orbits as antifaces;
+    the check is an exception, so ``-O`` keeps it."""
+    digraph, decomposition = tournament7
+    real_merge = _AntifaceCore.merge
+
+    def corrupting_merge(core, v, roots):
+        real_merge(core, v, roots)
+        if corruption == "unmerged":
+            core.roots.update(roots)  # the core still counts three faces
+        else:
+            core.roots.discard(min(roots))  # right count, wrong key
+            core.roots.add(max(roots))
+
+    monkeypatch.setattr(_AntifaceCore, "merge", corrupting_merge)
+    emb = nth_state(digraph, decomposition, 0)  # one case-1 merge, 3 -> 1
+    with pytest.raises(EmbeddingError, match="antifaces are not the core's"):
+        reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=validate_steps)
+
+
+def _dense_graphs():
+    graphs = (gen_rotational_tournament(11), gen_kn_minus_pm(10),
+              gen_random_dense_eulerian(9, 0, seed=3))
+    return tuple(
+        (digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]))
+        for digraph in graphs
+    ) + (gen_sts(9),)
+
+
+DENSE_GRAPHS = _dense_graphs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(range(len(DENSE_GRAPHS))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+)
+def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
+    """Each core merge picks the vertex and faces ``find_vertex_on_three_antifaces``
+    picks, and builds the embedding ``merge_three_at_vertex`` returns; a core
+    that never builds in between ends at the same embedding."""
+    digraph, decomposition = DENSE_GRAPHS[graph_index]
+    rng = random.Random(seed)
+    emb = random_block_order(digraph, decomposition, rng)
+    for _ in range(splits):  # 3-cycles at three corners of one antiface
+        face = rng.choice(emb.antifaces)
+        v = face.corners[rng.randrange(len(face))]
+        positions = face.corner_positions(v)
+        if len(positions) >= 3:
+            arrivals = [face.arrival_half(j) for j in rng.sample(positions, 3)]
+            emb = _rewire_three(emb, v, *arrivals)
+    stepped = _AntifaceCore(emb)
+    unbuilt = _AntifaceCore(emb)
+    while True:
+        want = find_vertex_on_three_antifaces(emb)
+        hit = stepped.lowest_crowded()
+        assert unbuilt.lowest_crowded() == hit
+        if want is None:
+            assert hit is None
+            break
+        v, faces = want
+        assert hit == (v, [face.key >> 1 for face in faces])
+        emb = merge_three_at_vertex(emb, v, *faces).embedding
+        stepped.merge(*hit)
+        unbuilt.merge(*hit)
+        built = stepped.check(stepped.embedding())
+        assert built.rotations[v] == emb.rotations[v]
+        assert built.rotations == emb.rotations
+        assert [f.key for f in built.antifaces] == [f.key for f in emb.antifaces]
+        assert stepped.count() == len(built.antifaces) == len(emb.antifaces)
+    assert unbuilt.check(unbuilt.embedding()).rotations == emb.rotations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(range(len(DENSE_GRAPHS))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+)
+def test_the_block_pairing_check_matches_the_traced_profaces(graph_index, seed, repairs):
+    """``reduce_embedding`` reads the profaces off the block pairing; it must
+    reject exactly the embeddings whose traced profaces are not the circuits."""
+    digraph, decomposition = DENSE_GRAPHS[graph_index]
+    rng = random.Random(seed)
+    emb = random_block_order(digraph, decomposition, rng)
+    rotations = list(emb.rotations)
+    for _ in range(repairs):  # swap the outgoing halves of two blocks
+        v = rng.randrange(digraph.n)
+        blocks = list(emb.blocks_at(v))
+        i, j = rng.sample(range(len(blocks)), 2)
+        (gi, hi), (gj, hj) = blocks[i], blocks[j]
+        blocks[i], blocks[j] = (gj, hi), (gi, hj)
+        rotations[v] = tuple(h for block in blocks for h in block)
+        emb = OrientedDirectedEmbedding(digraph, rotations)
+    matches = {f.arcs() for f in emb.profaces} == decomposition.canonical_set()
+    try:
+        reduce_embedding(OrientedDirectedEmbedding(digraph, rotations), decomposition)
+        rejected = False
+    except EmbeddingError as exc:
+        rejected = "do not match" in str(exc)
+    except NoProgressError:
+        rejected = False
+    assert rejected == (not matches)
+
+
+@pytest.mark.parametrize("n", [41, 81])
+def test_case_one_steps_trace_no_faces(n, monkeypatch):
+    """Full face traces during a strict reduction: the start, the final
+    embedding and one per other step at most, however many case-1 steps."""
+    digraph = gen_rotational_tournament(n)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    rng = random.Random(f"tournament-{n}")
+    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    real_trace = OrientedDirectedEmbedding._trace
+    traced = []
+
+    def counting_trace(embedding):
+        if embedding._faces is None:
+            traced.append(embedding)
+        return real_trace(embedding)
+
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_trace", counting_trace)
+    final, trace = reduce_embedding(start, decomposition, mode=STRICT)
+    monkeypatch.undo()
+    others = sum(step.case != "1" for step in trace.steps)
+    assert len(trace.steps) - others >= 10
+    assert len(traced) <= 2 + others
+    assert len(final.antifaces) <= 2
+    assert verify_embedding(final, decomposition).ok
 
 
 def test_a_loop_off_the_blown_up_faces_raises(circ11, monkeypatch):

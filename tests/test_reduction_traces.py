@@ -81,7 +81,7 @@ def raise_antifaces(embedding, rng):
     return embedding
 
 
-def build_traces():
+def build_traces(validate_steps=False):
     out = []
     for label, digraph, decomposition in corpus_graphs():
         for seed in SEEDS:
@@ -90,7 +90,8 @@ def build_traces():
                 start = random_block_order(digraph, decomposition, rng)
                 if raised:
                     start = raise_antifaces(start, rng)
-                final, trace = reduce_embedding(start, decomposition, STRICT)
+                final, trace = reduce_embedding(start, decomposition, STRICT,
+                                                validate_steps=validate_steps)
                 out.append({
                     "instance": label,
                     "seed": seed,
@@ -112,6 +113,13 @@ def test_strict_reduction_traces_are_byte_identical():
     with open(FIXTURE) as fh:
         expected = fh.read()
     assert render(build_traces()) == expected
+
+
+def test_validated_reduction_traces_are_byte_identical():
+    """Building and verifying an embedding after every step changes nothing."""
+    with open(FIXTURE) as fh:
+        expected = fh.read()
+    assert render(build_traces(validate_steps=True)) == expected
 
 
 if __name__ == "__main__":

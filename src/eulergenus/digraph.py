@@ -15,6 +15,7 @@ process that keeps many digraphs alive would pay for every one of them.
 """
 
 from collections import deque
+from itertools import chain
 
 from .errors import GraphError
 
@@ -49,6 +50,14 @@ def arc_of(h):
 
 def is_outgoing(h):
     return (h & 1) == 0
+
+
+def check_json_ints(rows):
+    """Raise TypeError unless every item of every row is a JSON integer; a
+    ``bool`` is refused although it subclasses ``int``."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise TypeError(f"{bad!r} is not an integer")
 
 
 class Digraph:
@@ -149,7 +158,11 @@ class Digraph:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            return cls(data["n"], data["arcs"])
+            n, arcs = data["n"], data["arcs"]
+            check_json_ints([[n], *arcs])
+            if set(map(len, arcs)) - {2}:
+                raise TypeError("an arc is not a pair")
+            return cls(n, arcs)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad digraph JSON: {exc}") from exc
 
@@ -254,6 +267,7 @@ class CircuitDecomposition:
     @classmethod
     def from_json_dict(cls, digraph, data):
         try:
+            check_json_ints(data["circuits"])
             return cls.from_arc_lists(digraph, data["circuits"])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad circuits JSON: {exc}") from exc

@@ -18,13 +18,10 @@ blocks.  With the profaces fixed to a circuit decomposition the pairing
 is fixed too (``decomposition_blocks``), and an embedding is just the
 cyclic order of its blocks at each vertex.  ``_blocks`` is the one reader
 of a rotation's blocks, which also decides whether it alternates, and
-``flat_rotation`` is the one writer.  ``with_rotation`` uses this: when the
-blocks at the changed vertex stay intact, the child keeps its parent's
-profaces and every antiface that does not arrive on a re-paired incoming
-half, and derives the rest by re-joining slices of the touched antifaces.
-``trace_faces`` is the reference tracer, and ``verify_embedding`` traces a
-derived embedding afresh from its rotations, so it stays an independent
-check.
+``flat_rotation`` is the one writer.  ``with_rotation`` replaces one
+rotation and shares the rest; its result is traced like any other
+embedding, so a surgery's postconditions are checked against faces that
+owe nothing to its parent's.
 
 The full tracer runs over flat lists indexed by half-arc: ``after[h]`` and
 ``before[h]`` are the clockwise neighbours of h in its rotation, built once
@@ -38,6 +35,7 @@ touches while untouched faces never pay for it.
 
 from itertools import chain
 
+from .digraph import check_json_ints
 from .errors import EmbeddingError, GraphError
 
 
@@ -59,12 +57,12 @@ class FaceWalk:
 
     @classmethod
     def _joined(cls, walk, corners, color):
-        """Face from a closed walk and its corners, given in any rotation."""
-        i = walk.index(min(walk))
+        """Face from a closed walk that starts at its least half-arc, and
+        its corners."""
         face = cls.__new__(cls)
-        face.walk = walk[i:] + walk[:i]
+        face.walk = walk
         face.color = color
-        face.corners = corners[i:] + corners[:i]
+        face.corners = corners
         face._vset = frozenset(corners)
         face._walk_set = None
         return face
@@ -148,11 +146,11 @@ class FaceWalk:
 class OrientedDirectedEmbedding:
     """Immutable rotation system over a digraph's half-arcs.
 
-    ``_faces`` is None until the faces are known; ``_derived`` says they
-    were spliced from a parent's faces rather than traced.
+    ``_faces`` is None until the faces are first read, when ``_trace``
+    traces them from the rotations.
     """
 
-    __slots__ = ("digraph", "rotations", "_faces", "_derived", "_antiface_index")
+    __slots__ = ("digraph", "rotations", "_faces", "_antiface_index")
 
     def __init__(self, digraph, rotations):
         rotations = tuple(tuple(map(int, rot)) for rot in rotations)
@@ -168,7 +166,6 @@ class OrientedDirectedEmbedding:
         self.digraph = digraph
         self.rotations = rotations
         self._faces = None
-        self._derived = False
         self._antiface_index = None
 
     def next_cw(self, h):
@@ -284,9 +281,7 @@ class OrientedDirectedEmbedding:
         """This embedding with the rotation at v replaced.
 
         Only the new rotation is validated; every other rotation is shared.
-        When this embedding's faces are known and the new rotation keeps
-        the same blocks at v, the child's faces are derived at once;
-        otherwise they are traced in full when first read.
+        The child's faces are traced in full when first read.
         """
         digraph = self.digraph
         rotation = tuple(map(int, new_rotation))
@@ -300,75 +295,8 @@ class OrientedDirectedEmbedding:
         child.digraph = digraph
         child.rotations = tuple(rotations)
         child._faces = None
-        child._derived = False
         child._antiface_index = None
-        if self._faces is not None:
-            old = _blocks(self.rotations[v])
-            new = _blocks(rotation)
-            # profaces depend only on the block pairing, so equal blocks keep them
-            if old is not None and new is not None and dict(zip(*old)) == dict(zip(*new)):
-                child._splice_antifaces(self, v, old, new)
         return child
-
-    def _splice_antifaces(self, parent, v, old_blocks, new_blocks):
-        """Derive faces from the parent's after the blocks at v were reordered.
-
-        ``old_blocks`` and ``new_blocks`` are the ``_blocks`` of the two
-        rotations at v.  An antiface arriving on an incoming half departs on
-        the outgoing half of the next block.  Every antiface arriving on a
-        half whose departure changed is cut after those arrivals; the slices
-        are re-joined by following the new departures.
-        """
-        old_next, new_next = (
-            dict(zip(incoming, outgoing[1:] + outgoing[:1]))
-            for outgoing, incoming in (old_blocks, new_blocks)
-        )
-        profaces, antifaces = parent._faces
-        cut_after = {h ^ 1 for h, g in new_next.items() if old_next[h] != g}
-        kept = []
-        touched = []
-        slices = {}
-        for face in antifaces:
-            hits = cut_after & face.walk_set if v in face._vset else ()
-            if not hits:
-                kept.append(face)
-                continue
-            touched.append(face)
-            walk = face.walk + face.walk
-            corners = face.corners + face.corners
-            cuts = sorted(walk.index(g) for g in hits)
-            cuts.append(cuts[0] + len(face.walk))
-            for start, end in zip(cuts, cuts[1:]):
-                slices[walk[start + 1]] = (walk[start + 1:end + 1], corners[start + 1:end + 1])
-        if len(slices) != len(cut_after):
-            raise EmbeddingError(
-                f"antifaces do not cover the re-paired arrivals at vertex {v}"
-            )
-        joined = []
-        while slices:
-            first, piece = slices.popitem()
-            walks, corners = [piece[0]], [piece[1]]
-            following = new_next[piece[0][-1] | 1]
-            while following != first:
-                piece = slices.pop(following, None)
-                if piece is None:
-                    raise EmbeddingError(
-                        f"spliced antiface slices at vertex {v} do not close"
-                    )
-                walks.append(piece[0])
-                corners.append(piece[1])
-                following = new_next[piece[0][-1] | 1]
-            joined.append(FaceWalk._joined(
-                tuple(chain.from_iterable(walks)),
-                tuple(chain.from_iterable(corners)),
-                "anti",
-            ))
-        if sum(map(len, joined)) != sum(map(len, touched)):
-            raise EmbeddingError(
-                "spliced antifaces do not cover exactly the arcs they replace"
-            )
-        self._faces = (profaces, tuple(sorted(kept + joined, key=lambda f: f.walk[0])))
-        self._derived = True
 
     def to_json_dict(self):
         return {"rotations": [list(rot) for rot in self.rotations]}
@@ -376,6 +304,7 @@ class OrientedDirectedEmbedding:
     @classmethod
     def from_json_dict(cls, digraph, data):
         try:
+            check_json_ints(data["rotations"])
             return cls(digraph, data["rotations"])
         except (KeyError, TypeError) as exc:
             raise EmbeddingError(f"bad embedding JSON: {exc}") from exc
@@ -505,15 +434,7 @@ def verify_embedding(embedding, decomposition=None):
     if failures:
         return VerificationReport(failures)
 
-    if embedding._derived:
-        fresh = type(embedding)(digraph, embedding.rotations)
-        profaces, antifaces = trace_faces(fresh)
-        if (profaces, antifaces) != embedding._faces:
-            failures.append(
-                ("derived-faces", "derived faces differ from a fresh trace")
-            )
-    else:
-        profaces, antifaces = trace_faces(embedding)
+    profaces, antifaces = trace_faces(embedding)
     outgoing = set(range(0, 2 * digraph.m, 2))
     for color, faces in (("pro", profaces), ("anti", antifaces)):
         covered = list(chain.from_iterable(f.walk for f in faces))

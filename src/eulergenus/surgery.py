@@ -4,11 +4,10 @@ All four operations rewrite rotations only at whole-block granularity: a
 block is one (outgoing, incoming) pair of a rotation, and proface pairing
 lives inside blocks while antiface pairing crosses block boundaries.
 Permuting blocks at a vertex therefore rewires antifaces and nothing else.
-The result of each rewrite inherits its parent's profaces and every
-untouched antiface, and derives only the antifaces through the re-paired
-arrivals (see ``OrientedDirectedEmbedding.with_rotation``); every
-operation checks its own postconditions on those faces and raises
-``EmbeddingError`` when one fails, also under ``python -O``.
+The result of each rewrite shares its parent's other rotations and traces
+its own faces (see ``OrientedDirectedEmbedding.with_rotation``); every
+operation checks its own postconditions against that fresh trace and
+raises ``EmbeddingError`` when one fails, also under ``python -O``.
 """
 
 from fractions import Fraction
@@ -87,7 +86,7 @@ def _created_antifaces(embedding, new_embedding, inputs, v, operation):
     """Antifaces of ``new_embedding`` that are not antifaces of ``embedding``.
 
     Raises unless the profaces and every antiface but ``inputs`` survive
-    as the same object or an equal walk; a created face keeps an input's key.
+    as an equal walk; a created face keeps an input's key.
     """
     if new_embedding.profaces != embedding.profaces:
         raise EmbeddingError(f"{operation} at vertex {v} changed the profaces")
@@ -96,7 +95,7 @@ def _created_antifaces(embedding, new_embedding, inputs, v, operation):
     created = []
     for face in new_embedding.antifaces:
         old = old_faces.get(face.key)
-        if old is None or face.key in gone or (old is not face and old != face):
+        if old is None or face.key in gone or old != face:
             created.append(face)
     if len(new_embedding.antifaces) - len(created) != len(old_faces) - len(gone):
         raise EmbeddingError(f"{operation} at vertex {v} changed an antiface it did not touch")

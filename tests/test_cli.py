@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from eulergenus import (CircuitDecomposition, Digraph, enumerate_relative_embeddings,
-                        euler_circuit, gen_rotational_tournament,
-                        reduce_to_upper_embedding)
+from eulergenus import (CircuitDecomposition, Digraph, embed_from_decomposition,
+                        enumerate_relative_embeddings, euler_circuit,
+                        gen_rotational_tournament, reduce_to_upper_embedding)
 from eulergenus.cli import main
 
 from conftest import circulant, nth_state
@@ -265,6 +265,59 @@ def test_invalid_circuits_are_an_input_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def _edit_json(path, where, change):
+    data = json.loads(path.read_text())
+    container = data
+    for key in where[:-1]:
+        container = container[key]
+    container[where[-1]] = change(container[where[-1]])
+    path.write_text(json.dumps(data))
+
+
+# each edit, read back through int(), would still verify as ok
+@pytest.mark.parametrize("name, where, change, message", [
+    ("g", ("arcs", 0, 1), lambda t: t + 0.25, "bad digraph JSON"),
+    ("g", ("arcs", 0), lambda arc: arc + [arc[1]], "bad digraph JSON"),
+    ("c", ("circuits", 0, 0), str, "bad circuits JSON"),
+    ("e", ("rotations", 0, 0), lambda h: h + 0.5, "bad embedding JSON"),
+    ("e", ("rotations", 0, 0), str, "bad embedding JSON"),
+    ("e", ("rotations", 0, 0), lambda h: "x", "bad embedding JSON"),
+], ids=["fractional-endpoint", "arc-triple", "quoted-circuit-id",
+        "fractional-half-arc", "quoted-half-arc", "non-numeric-half-arc"])
+def test_verify_rejects_json_values_that_are_not_integers(
+        tmp_path, capsys, name, where, change, message):
+    paths = {name: tmp_path / f"{name}.json" for name in "gce"}
+    run(["gen", "tournament", "--n", "7", "--out", str(paths["g"]),
+         "--circuits", str(paths["c"])], capsys)
+    run(["embed", "--in", str(paths["g"]), "--circuits", str(paths["c"]),
+         "--out", str(paths["e"])], capsys)
+    _edit_json(paths[name], where, change)
+    code, out, err = run(
+        ["verify", "--in", str(paths["g"]), "--embedding", str(paths["e"]),
+         "--circuits", str(paths["c"])], capsys)
+    assert code == 1
+    assert "ok" not in out
+    assert message in err
+
+
+def test_verify_rejects_a_boolean_vertex_count(tmp_path, capsys):
+    g, c = _write_three_loops(tmp_path)
+    e = tmp_path / "e.json"
+    digraph = Digraph(1, [(0, 0)] * 3)
+    decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1, 2]])
+    e.write_text(json.dumps(embed_from_decomposition(digraph, decomposition).to_json_dict()))
+    code, out, err = run(
+        ["verify", "--in", str(g), "--embedding", str(e), "--circuits", str(c)], capsys)
+    assert code == 0 and out.startswith("ok")
+    # true == 1, so read back through int() it made the same one-vertex digraph
+    _edit_json(g, ("n",), lambda n: True)
+    code, out, err = run(
+        ["verify", "--in", str(g), "--embedding", str(e), "--circuits", str(c)], capsys)
+    assert code == 1
+    assert "ok" not in out
+    assert "bad digraph JSON: True is not an integer" in err
 
 
 def test_strict_gate_maps_to_exit_code_two(tmp_path, capsys):

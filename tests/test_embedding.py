@@ -1,6 +1,7 @@
 """Face walks, rotation systems, face tracing, genus, and verification."""
 
 import json
+import random
 
 import pytest
 
@@ -11,11 +12,14 @@ from eulergenus import (
     FaceWalk,
     OrientedDirectedEmbedding,
     embed_from_decomposition,
+    euler_circuit,
     euler_genus,
+    gen_rotational_tournament,
     iter_relative_embeddings,
     trace_faces,
     verify_embedding,
 )
+from eulergenus.surgery import _rewire_three
 
 from conftest import nth_state
 
@@ -115,6 +119,79 @@ def test_with_rotation_replaces_one_vertex(four_loops):
     assert other.rotations != emb.rotations
     # same cyclic order, so the faces cannot change
     assert {f.walk for f in other.antifaces} == {f.walk for f in emb.antifaces}
+
+
+def _random_start(digraph, rng):
+    """The canonical embedding of one euler circuit, blocks shuffled at
+    every vertex."""
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    canonical = embed_from_decomposition(digraph, decomposition)
+    rotations = []
+    for v in range(digraph.n):
+        blocks = list(canonical.blocks_at(v))
+        rng.shuffle(blocks)
+        rotations.append([h for block in blocks for h in block])
+    return OrientedDirectedEmbedding(digraph, rotations)
+
+
+def test_with_rotation_validates_the_new_rotation_only():
+    emb = _random_start(gen_rotational_tournament(9), random.Random(4))
+    with pytest.raises(EmbeddingError, match="not a permutation"):
+        emb.with_rotation(2, emb.rotations[2][1:])
+    child = emb.with_rotation(2, emb.rotations[2][::-1])
+    assert child.rotations[3] is emb.rotations[3]
+
+
+def test_a_rewired_child_is_traced_once_when_first_read(monkeypatch):
+    digraph = gen_rotational_tournament(9)
+    emb = _random_start(digraph, random.Random(3))
+    trace_faces(emb)
+    ins = [h for _, h in emb.blocks_at(0)]
+    child = _rewire_three(emb, 0, *ins[:3])
+    assert child._faces is None
+    fresh = trace_faces(OrientedDirectedEmbedding(digraph, child.rotations))
+
+    traced = []
+    original = OrientedDirectedEmbedding._trace
+
+    def counting(self):
+        if self._faces is None:
+            traced.append(self)
+        return original(self)
+
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_trace", counting)
+    assert (child.profaces, child.antifaces) == fresh
+    assert traced == [child]
+    assert verify_embedding(child).ok
+    assert traced == [child]
+
+    rotation = list(emb.rotations[0])
+    rotation[0], rotation[1] = rotation[1], rotation[0]
+    broken = emb.with_rotation(0, rotation)
+    assert broken._faces is None
+    with pytest.raises(EmbeddingError, match="does not alternate"):
+        broken.antifaces
+
+
+def test_antiface_lookup_by_key():
+    emb = _random_start(gen_rotational_tournament(9), random.Random(5))
+    for face in emb.antifaces:
+        assert emb.antiface(face.key) is face
+        assert emb.own_antiface(face) is face
+    # an incoming half-arc starts no walk
+    with pytest.raises(EmbeddingError, match="is not an antiface of this embedding"):
+        emb.antiface(1)
+    with pytest.raises(EmbeddingError, match="is not an antiface of this embedding"):
+        emb.own_antiface(emb.profaces[0])
+    ins = [h for _, h in emb.blocks_at(1)]
+    child = _rewire_three(emb, 1, *ins[:3])
+    for face in child.antifaces:
+        assert child.antiface(face.key) is face
+    gone = [f for f in emb.antifaces if f not in child.antifaces]
+    assert gone
+    for face in gone:
+        with pytest.raises(EmbeddingError):
+            child.own_antiface(face)
 
 
 def test_embedding_json_round_trip(tournament7):

@@ -83,19 +83,22 @@ def test_split_swap_preserves_profaces(four_loops):
     assert {f.arcs() for f in result.embedding.profaces} == want
 
 
-def _corrupt_derived_faces(monkeypatch, corrupt):
-    """Have every derived embedding replace its newly joined antifaces."""
-    original = OrientedDirectedEmbedding._splice_antifaces
+def _corrupt_derived_faces(monkeypatch, parent, corrupt):
+    """Have every embedding derived from ``parent`` replace, when first
+    traced, the antifaces that ``parent`` does not have."""
+    original = OrientedDirectedEmbedding._trace
+    # a new face may keep an input's key, so pick the new faces by walk
+    old = {f.walk for f in parent.antifaces}
 
-    def splice(self, parent, v, old_next, new_next):
-        original(self, parent, v, old_next, new_next)
-        profaces, antifaces = self._faces
-        # a new face may keep an input's key, so pick the new faces by walk
-        old = {f.walk for f in parent.antifaces}
+    def trace(self):
+        if self is parent or self._faces is not None:
+            return original(self)
+        profaces, antifaces = original(self)
         faces = [f if f.walk in old else corrupt(f, parent) for f in antifaces]
         self._faces = (profaces, tuple(sorted(faces, key=lambda f: f.walk)))
+        return self._faces
 
-    monkeypatch.setattr(OrientedDirectedEmbedding, "_splice_antifaces", splice)
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_trace", trace)
 
 
 def _drop_last_arc(face, parent):
@@ -116,7 +119,7 @@ def test_merge_three_rejects_a_corrupted_merged_face(tournament7, monkeypatch, c
     digraph, decomposition = tournament7
     emb = nth_state(digraph, decomposition, 0)
     v, (a, b, c) = find_vertex_on_three_antifaces(emb)
-    _corrupt_derived_faces(monkeypatch, corrupt)
+    _corrupt_derived_faces(monkeypatch, emb, corrupt)
     with pytest.raises(EmbeddingError, match="does not hold exactly the arcs"):
         merge_three_at_vertex(emb, v, a, b, c)
 
@@ -126,7 +129,7 @@ def test_split_swap_rejects_a_corrupted_merged_face(four_loops, monkeypatch):
     emb = nth_state(digraph, decomposition, 0)
     a, b = emb.antifaces
     cut1, cut2 = a.corner_positions(0)[:2]
-    _corrupt_derived_faces(monkeypatch, _foreign_last_arc)
+    _corrupt_derived_faces(monkeypatch, emb, _foreign_last_arc)
     with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
         split_swap(emb, 0, a, cut1, cut2, b)
 
@@ -146,7 +149,7 @@ def test_split_swap_rejects_a_reordered_merged_face(four_loops, monkeypatch):
     merged = split_swap(emb, 0, a, cut1, cut2, b).merged
     assert len(merged) >= 3  # reversing a walk of two arcs keeps its cyclic order
     _corrupt_derived_faces(
-        monkeypatch,
+        monkeypatch, emb,
         lambda face, parent: (_reverse_after_first_arc(face, parent)
                               if face.walk == merged.walk else face),
     )
@@ -159,16 +162,18 @@ def test_merge_three_rejects_a_reordered_untouched_face(tournament7, monkeypatch
     emb = nth_state(digraph, decomposition, 24)
     v, inputs = find_vertex_on_three_antifaces(emb)
     untouched = next(f for f in emb.antifaces if f not in inputs and len(f) >= 3)
-    original = OrientedDirectedEmbedding._splice_antifaces
+    original = OrientedDirectedEmbedding._trace
 
-    def splice(self, parent, v, old_next, new_next):
-        original(self, parent, v, old_next, new_next)
-        profaces, antifaces = self._faces
-        faces = [_reverse_after_first_arc(f, parent) if f is untouched else f
+    def trace(self):
+        if self is emb or self._faces is not None:
+            return original(self)
+        profaces, antifaces = original(self)
+        faces = [_reverse_after_first_arc(f, emb) if f == untouched else f
                  for f in antifaces]
         self._faces = (profaces, tuple(faces))
+        return self._faces
 
-    monkeypatch.setattr(OrientedDirectedEmbedding, "_splice_antifaces", splice)
+    monkeypatch.setattr(OrientedDirectedEmbedding, "_trace", trace)
     with pytest.raises(EmbeddingError, match="changed an antiface it did not touch"):
         merge_three_at_vertex(emb, v, *inputs)
 

@@ -162,6 +162,12 @@ class Digraph:
             check_json_ints([[n], *arcs])
             if set(map(len, arcs)) - {2}:
                 raise TypeError("an arc is not a pair")
+            # a connected eulerian digraph on n >= 2 vertices has at least
+            # n arcs; checked before the constructor allocates per vertex
+            if n > max(1, len(arcs)):
+                raise GraphError(
+                    f"bad digraph JSON: {n} vertices but only {len(arcs)} arcs"
+                )
             return cls(n, arcs)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad digraph JSON: {exc}") from exc
@@ -340,28 +346,43 @@ def euler_circuit(digraph):
         raise GraphError("digraph is not connected")
     if digraph.m == 0:
         raise GraphError("digraph has no arcs")
-    arcs = digraph.arcs
-    out = digraph._out
-    next_free = [0] * digraph.n  # index into out[v] of the first unused half-arc
-    start = min(v for v in range(digraph.n) if out[v])
-    stack = [(start, None)]  # (vertex, arc traversed to reach it)
-    arc_seq = []
-    while stack:
-        v = stack[-1][0]
-        outs = out[v]
-        i = next_free[v]
-        if i < len(outs):
-            a = outs[i] >> 1
-            next_free[v] = i + 1
-            stack.append((arcs[a][1], a))
-        else:
-            _, a = stack.pop()
-            if a is not None:
-                arc_seq.append(a)
-    arc_seq.reverse()
-    if len(arc_seq) != digraph.m:
+    circuits = _euler_circuits(digraph, digraph._out)
+    if len(circuits) != 1:
         raise GraphError("euler circuit does not cover every arc")
-    return DirectedCircuit(digraph, arc_seq)
+    return circuits[0]
+
+
+def _euler_circuits(digraph, out):
+    """One euler circuit per weak component of a balanced set of arcs.
+
+    ``out[v]`` lists the set's outgoing half-arcs at v, ascending.  Each
+    circuit starts at the lowest vertex with an unused arc, so the
+    circuits come in order of their components' lowest vertices, and
+    always leaves along the lowest unused outgoing half-arc.
+    """
+    arcs = digraph.arcs
+    next_free = [0] * digraph.n  # index into out[v] of the first unused half-arc
+    circuits = []
+    for start in range(digraph.n):
+        if next_free[start] == len(out[start]):
+            continue
+        stack = [(start, None)]  # (vertex, arc traversed to reach it)
+        arc_seq = []
+        while stack:
+            v = stack[-1][0]
+            outs = out[v]
+            i = next_free[v]
+            if i < len(outs):
+                a = outs[i] >> 1
+                next_free[v] = i + 1
+                stack.append((arcs[a][1], a))
+            else:
+                _, a = stack.pop()
+                if a is not None:
+                    arc_seq.append(a)
+        arc_seq.reverse()
+        circuits.append(DirectedCircuit(digraph, arc_seq))
+    return circuits
 
 
 def greedy_circuit_decomposition(digraph):

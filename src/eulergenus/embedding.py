@@ -16,20 +16,22 @@ proface departs inside the block of its arrival, the pair that sits
 clockwise-before it, so profaces depend only on how half-arcs pair into
 blocks.  With the profaces fixed to a circuit decomposition the pairing
 is fixed too (``decomposition_blocks``), and an embedding is just the
-cyclic order of its blocks at each vertex.  ``_blocks`` is the one reader
-of a rotation's blocks, which also decides whether it alternates, and
-``flat_rotation`` is the one writer.  ``with_rotation`` replaces one
-rotation and shares the rest; its result is traced like any other
-embedding, so a surgery's postconditions are checked against faces that
-owe nothing to its parent's.
+cyclic order of its blocks at each vertex.  That order is read once per
+rotation, when an embedding is built: ``_blocks`` checks the rotation and
+splits it into ``halves``, the outgoing and the incoming halves of its
+blocks, which the embedding keeps and every later reader takes.
+``successors`` turns the halves into the map a face follows from arc to
+arc, and ``flat_rotation`` writes blocks back into a rotation.
+``with_rotation`` reads only the rotation it replaces and shares the rest;
+its result is traced like any other embedding, so a surgery's
+postconditions are checked against faces that owe nothing to its
+parent's.
 
-The full tracer runs over flat lists indexed by half-arc: ``after[h]`` and
-``before[h]`` are the clockwise neighbours of h in its rotation, built once
-from the rotations, so one step of a proface is ``before[h ^ 1]`` and one
-step of an antiface is ``after[h ^ 1]``.  Orbits are marked in a bytearray,
-and each face's corners are read from a per-half-arc head list.  A face's
-set of walk arcs is built only when first asked for (``FaceWalk.walk_set``),
-so that "does this face hold arc g" costs O(1) for the few faces a surgery
+The full tracer walks ``successors``: one step of a face from outgoing
+half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and each
+face's corners are read from a per-half-arc head list.  A face's set of
+walk arcs is built only when first asked for (``FaceWalk.walk_set``), so
+that "does this face hold arc g" costs O(1) for the few faces a surgery
 touches while untouched faces never pay for it.
 """
 
@@ -146,11 +148,13 @@ class FaceWalk:
 class OrientedDirectedEmbedding:
     """Immutable rotation system over a digraph's half-arcs.
 
-    ``_faces`` is None until the faces are first read, when ``_trace``
-    traces them from the rotations.
+    ``halves[v]`` is the rotation at v read as ``(outgoing, incoming)``:
+    block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
+    rotation's first outgoing half.  ``_faces`` is None until the faces are
+    first read, when ``_trace`` traces them from the halves.
     """
 
-    __slots__ = ("digraph", "rotations", "_faces", "_antiface_index")
+    __slots__ = ("digraph", "rotations", "halves", "_faces", "_antiface_index")
 
     def __init__(self, digraph, rotations):
         rotations = tuple(tuple(map(int, rot)) for rot in rotations)
@@ -158,13 +162,11 @@ class OrientedDirectedEmbedding:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
             )
-        for v, rot in enumerate(rotations):
-            if tuple(sorted(rot)) != digraph.incident_half_arcs(v):
-                raise EmbeddingError(
-                    f"rotation at vertex {v} is not a permutation of its half-arcs"
-                )
         self.digraph = digraph
         self.rotations = rotations
+        self.halves = tuple(
+            _blocks(digraph, v, rot) for v, rot in enumerate(rotations)
+        )
         self._faces = None
         self._antiface_index = None
 
@@ -176,38 +178,21 @@ class OrientedDirectedEmbedding:
         rot = self.rotations[self.digraph.half_arc_vertex(h)]
         return rot[rot.index(h) - 1]
 
-    def alternation_failure(self):
-        """First vertex whose rotation does not alternate directions, or None."""
-        for v, rot in enumerate(self.rotations):
-            if _blocks(rot) is None:
-                return v
-        return None
-
     def blocks_at(self, v):
         """Rotation at v as consecutive (outgoing, incoming) pairs, clockwise
         from its first outgoing half."""
-        blocks = _blocks(self.rotations[v])
-        if blocks is None:
-            raise EmbeddingError(f"rotation at vertex {v} does not alternate")
-        return tuple(zip(*blocks))
+        return tuple(zip(*self.halves[v]))
 
     def _trace(self):
         if self._faces is not None:
             return self._faces
-        bad = self.alternation_failure()
-        if bad is not None:
-            raise EmbeddingError(f"rotation at vertex {bad} does not alternate")
-        size = 2 * self.digraph.m
-        after = [0] * size
-        before = [0] * size
-        for rot in self.rotations:
-            for h, g in zip(rot, rot[1:] + rot[:1]):
-                after[h] = g
-                before[g] = h
+        m = self.digraph.m
+        size = 2 * m
         # both halves of an arc map to its head, the corner after the arc
         corner = [head for _, head in self.digraph.arcs for _ in (0, 1)]
         families = []
-        for color, step in (("pro", before), ("anti", after)):
+        for color in ("pro", "anti"):
+            leave = successors(self.halves, m, color)
             seen = bytearray(size)
             faces = []
             for h0 in range(0, size, 2):
@@ -218,7 +203,7 @@ class OrientedDirectedEmbedding:
                 while not seen[h]:
                     seen[h] = 1
                     orbit.append(h)
-                    h = step[h ^ 1]
+                    h = leave[h >> 1]
                 if h != h0:
                     raise EmbeddingError("face tracing did not close an orbit")
                 faces.append(FaceWalk._joined(
@@ -280,20 +265,15 @@ class OrientedDirectedEmbedding:
     def with_rotation(self, v, new_rotation):
         """This embedding with the rotation at v replaced.
 
-        Only the new rotation is validated; every other rotation is shared.
-        The child's faces are traced in full when first read.
+        Only the new rotation is read; every other rotation and its halves
+        are shared.  The child's faces are traced in full when first read.
         """
-        digraph = self.digraph
         rotation = tuple(map(int, new_rotation))
-        rotations = list(self.rotations)
-        rotations[v] = rotation
-        if tuple(sorted(rotation)) != digraph.incident_half_arcs(v):
-            raise EmbeddingError(
-                f"rotation at vertex {v} is not a permutation of its half-arcs"
-            )
+        halves = _blocks(self.digraph, v, rotation)
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
-        child.digraph = digraph
-        child.rotations = tuple(rotations)
+        child.digraph = self.digraph
+        child.rotations = self.rotations[:v] + (rotation,) + self.rotations[v + 1:]
+        child.halves = self.halves[:v] + (halves,) + self.halves[v + 1:]
         child._faces = None
         child._antiface_index = None
         return child
@@ -329,25 +309,54 @@ def least_first(walk):
     return walk[i:] + walk[:i]
 
 
-def _blocks(rotation):
-    """``(outgoing, incoming)``: the halves of the rotation's blocks, or None.
+class _RotationFault(EmbeddingError):
+    """A rotation that breaks the rule ``check`` names in a verification."""
+
+    def __init__(self, check, message):
+        super().__init__(message)
+        self.check = check
+
+
+def _blocks(digraph, v, rotation):
+    """``(outgoing, incoming)``: the halves of the rotation's blocks at v.
 
     Block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
-    rotation's first outgoing half.  None when the rotation does not
-    alternate; an empty rotation has no blocks.
+    rotation's first outgoing half; an empty rotation has no blocks.
+    Raises ``_RotationFault`` if the rotation is not a permutation of v's
+    half-arcs, and otherwise if it does not alternate.
     """
-    if not rotation:
-        return (), ()
-    if rotation[0] & 1:
-        rotation = rotation[1:] + rotation[:1]
-    outgoing = rotation[0::2]
-    incoming = rotation[1::2]
-    # cyclically consecutive half-arcs differ in direction exactly when the
-    # length is even, the even slots are outgoing and the odd ones incoming
-    if (len(outgoing) != len(incoming) or {g & 1 for g in outgoing} != {0}
-            or {h & 1 for h in incoming} != {1}):
-        return None
-    return outgoing, incoming
+    turned = rotation[1:] + rotation[:1] if rotation and rotation[0] & 1 else rotation
+    outgoing = turned[0::2]
+    incoming = turned[1::2]
+    # exactly the alternating permutations hold v's outgoing halves at the
+    # even places and its incoming ones at the odd places
+    if (len(outgoing) == len(incoming)
+            and tuple(sorted(outgoing)) == digraph.out_half_arcs(v)
+            and tuple(sorted(incoming)) == digraph.in_half_arcs(v)):
+        return outgoing, incoming
+    if tuple(sorted(rotation)) != digraph.incident_half_arcs(v):
+        raise _RotationFault(
+            "rotation-structure",
+            f"rotation at vertex {v} is not a permutation of its half-arcs",
+        )
+    raise _RotationFault("alternation", f"rotation at vertex {v} does not alternate")
+
+
+def successors(halves, m, color):
+    """Per arc, the outgoing half-arc on which a face of ``color`` leaves
+    the arc's head.
+
+    ``halves`` holds each vertex's blocks as ``(outgoing, incoming)``.  A
+    proface leaves on its own block's outgoing half, an antiface on the
+    next block's.
+    """
+    leave = [0] * m
+    for outgoing, incoming in halves:
+        if color == "anti":
+            outgoing = outgoing[1:] + outgoing[:1]
+        for h, g in zip(incoming, outgoing):
+            leave[h >> 1] = g
+    return leave
 
 
 def flat_rotation(blocks):
@@ -423,14 +432,11 @@ def verify_embedding(embedding, decomposition=None):
     """Check structural validity, face coverage, proface identity, and parity."""
     failures = []
     digraph = embedding.digraph
-    for v, rot in enumerate(embedding.rotations):
-        if tuple(sorted(rot)) != digraph.incident_half_arcs(v):
-            failures.append(
-                ("rotation-structure", f"vertex {v} rotation is not a permutation")
-            )
-    bad = embedding.alternation_failure()
-    if bad is not None:
-        failures.append(("alternation", f"vertex {bad} rotation does not alternate"))
+    for v, rotation in enumerate(embedding.rotations):
+        try:
+            _blocks(digraph, v, rotation)
+        except _RotationFault as fault:
+            failures.append((fault.check, str(fault)))
     if failures:
         return VerificationReport(failures)
 

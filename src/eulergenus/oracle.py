@@ -18,7 +18,8 @@ touches.
 from itertools import permutations, product
 from math import factorial, prod
 
-from .embedding import OrientedDirectedEmbedding, decomposition_blocks, flat_rotation
+from .embedding import (OrientedDirectedEmbedding, decomposition_blocks,
+                        flat_rotation, successors)
 from .errors import EmbeddingError, GraphError, StateSpaceError
 
 
@@ -122,18 +123,19 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
     """
     states = _check_feasible(digraph, decomposition, limit)
     m = digraph.m
-    nxt = [0] * m  # nxt[a] = the arc an antiface takes after arc a
+    halves = [([g for g, _ in pairs], [h for _, h in pairs])
+              for pairs in decomposition_blocks(digraph, decomposition)]
+    # nxt[a] = the arc an antiface takes after arc a
+    nxt = [g >> 1 for g in successors(halves, m, "anti")]
     digits = []  # (outs, ins, swaps) per vertex with a free arrangement
     swaps_of = {}
-    for pairs in decomposition_blocks(digraph, decomposition):
-        d = len(pairs)
-        outs = [g >> 1 for g, _ in pairs]
-        ins = [h >> 1 for _, h in pairs]
-        for i in range(d):
-            nxt[ins[i]] = outs[(i + 1) % d]
+    for outgoing, incoming in halves:
+        d = len(outgoing)
         if d >= 3:
             if d not in swaps_of:
                 swaps_of[d] = _sjt_swaps(d - 1)
+            outs = [g >> 1 for g in outgoing]
+            ins = [h >> 1 for h in incoming]
             # the anchor repeated at the end closes the cycle for the swaps
             digits.append((outs + outs[:1], ins + ins[:1], swaps_of[d]))
     label = [-1] * m  # label[a] = the antiface orbit arc a lies on

@@ -35,10 +35,9 @@ Each built embedding must have exactly the core's orbits as antifaces.
 import heapq
 
 from .digraph import (CircuitDecomposition, Digraph, DirectedCircuit,
-                      density_profile, underlying_simple_graph)
-from .embedding import (OrientedDirectedEmbedding, _blocks,
-                        embed_from_decomposition, flat_rotation,
-                        verify_embedding)
+                      _euler_circuits, density_profile, underlying_simple_graph)
+from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
+                        flat_rotation, successors, verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
 from .interlace import (check_big_moderate, check_diamond_corollary,
@@ -161,23 +160,15 @@ class _AntifaceCore:
         digraph = self.digraph
         m = digraph.m
         self.rotations = list(embedding.rotations)
-        self.blocks = []
+        self.blocks = [list(zip(*halves)) for halves in embedding.halves]
         self.dirty = set()
-        after = [0] * m  # arc -> the next arc on its antiface
-        for v, rotation in enumerate(self.rotations):
-            blocks = _blocks(rotation)
-            if blocks is None:
-                raise EmbeddingError(f"rotation at vertex {v} does not alternate")
-            outgoing, incoming = blocks
-            self.blocks.append(list(zip(outgoing, incoming)))
-            for h, g in zip(incoming, outgoing[1:] + outgoing[:1]):
-                after[h >> 1] = g >> 1
+        leave = successors(embedding.halves, m, "anti")
         parent = [-1] * m
         for root in range(m):
             a = root
             while parent[a] < 0:
                 parent[a] = root
-                a = after[a]
+                a = leave[a] >> 1
         self.parent = parent
         self.roots = {a for a in range(m) if parent[a] == a}
         self.crowded = [
@@ -573,11 +564,7 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     fw = decomposition.fw
     if len(fw) != embedding.digraph.m:
         raise EmbeddingError("embedding profaces do not match the decomposition")
-    for v, rotation in enumerate(embedding.rotations):
-        blocks = _blocks(rotation)
-        if blocks is None:
-            raise EmbeddingError(f"rotation at vertex {v} does not alternate")
-        outgoing, incoming = blocks
+    for outgoing, incoming in embedding.halves:
         if tuple(map(fw.get, incoming)) != outgoing:
             raise EmbeddingError("embedding profaces do not match the decomposition")
     reducer = _Reducer(embedding, decomposition, mode, validate_steps)
@@ -714,61 +701,17 @@ def _splice_across_two_cut(digraph, decomposition, trace, forward, backward):
 
 def _completion_circuits(digraph, leftover):
     """One euler circuit per nontrivial weak component of the leftover arcs."""
-    remaining = set(leftover)
-    if not remaining:
-        return []
-    balance = {}
-    for a in remaining:
+    balance = [0] * digraph.n
+    out = [[] for _ in range(digraph.n)]
+    for a in sorted(leftover):
         t, h = digraph.arcs[a]
-        balance[t] = balance.get(t, 0) + 1
-        balance[h] = balance.get(h, 0) - 1
-    bad = sorted(v for v, d in balance.items() if d != 0)
+        balance[t] += 1
+        balance[h] -= 1
+        out[t].append(2 * a)
+    bad = [v for v in range(digraph.n) if balance[v]]
     if bad:
         raise GraphError(f"leftover arcs are unbalanced at vertices {bad[:8]}")
-
-    out_arcs = {}
-    for a in sorted(remaining):
-        out_arcs.setdefault(digraph.tail(a), []).append(a)
-    neighbors = {}
-    for a in remaining:
-        t, h = digraph.arcs[a]
-        neighbors.setdefault(t, set()).add(h)
-        neighbors.setdefault(h, set()).add(t)
-    unseen = set(neighbors)
-    circuits = []
-    while unseen:
-        root = min(unseen)
-        component = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in component:
-                    component.add(w)
-                    frontier.append(w)
-        unseen -= component
-        next_free = {v: 0 for v in component}
-        stack = [(root, None)]
-        seq = []
-        while stack:
-            v = stack[-1][0]
-            outs = out_arcs.get(v, ())
-            while next_free[v] < len(outs) and outs[next_free[v]] not in remaining:
-                next_free[v] += 1
-            if next_free[v] < len(outs):
-                a = outs[next_free[v]]
-                next_free[v] += 1
-                remaining.discard(a)
-                stack.append((digraph.head(a), a))
-            else:
-                _, a = stack.pop()
-                if a is not None:
-                    seq.append(a)
-        seq.reverse()
-        circuits.append(DirectedCircuit(digraph, seq))
-    if remaining:
-        raise GraphError("leftover component walk missed arcs")
-    return circuits
+    return _euler_circuits(digraph, out)
 
 
 def relative_upper_from_partial(digraph, partial, mode=STRICT, validate_steps=False):

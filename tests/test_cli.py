@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from eulergenus import (CircuitDecomposition, Digraph, embed_from_decomposition,
-                        enumerate_relative_embeddings, euler_circuit,
-                        gen_rotational_tournament, reduce_to_upper_embedding)
+from eulergenus import (CircuitDecomposition, Digraph, GraphError,
+                        embed_from_decomposition, enumerate_relative_embeddings,
+                        euler_circuit, gen_rotational_tournament,
+                        reduce_to_upper_embedding)
 from eulergenus.cli import main
 
 from conftest import circulant, nth_state
@@ -318,6 +319,32 @@ def test_verify_rejects_a_boolean_vertex_count(tmp_path, capsys):
     assert code == 1
     assert "ok" not in out
     assert "bad digraph JSON: True is not an integer" in err
+
+
+def test_a_rotation_that_does_not_alternate_is_an_input_error(tmp_path, capsys):
+    g, c = _write_three_loops(tmp_path)
+    e = tmp_path / "e.json"
+    # a permutation of the half-arcs with two outgoing halves side by side
+    e.write_text(json.dumps({"rotations": [[0, 2, 1, 4, 3, 5]]}))
+    paths = ["--in", str(g), "--embedding", str(e)]
+    for argv in (["verify", *paths, "--circuits", str(c)],
+                 ["faces", *paths],
+                 ["render", *paths, "--out", str(tmp_path / "e.svg")]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert "rotation at vertex 0 does not alternate" in err
+    assert not (tmp_path / "e.svg").exists()
+
+
+def test_more_vertices_than_arcs_are_refused_before_allocating(tmp_path, capsys):
+    data = {"n": 300000, "arcs": []}
+    with pytest.raises(GraphError, match="300000 vertices but only 0 arcs"):
+        Digraph.from_json_dict(data)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(data))
+    code, out, err = run(["embed", "--in", str(g), "--out", "-"], capsys)
+    assert code == 1
+    assert "bad digraph JSON: 300000 vertices but only 0 arcs" in err
 
 
 def test_strict_gate_maps_to_exit_code_two(tmp_path, capsys):

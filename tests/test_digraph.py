@@ -100,7 +100,12 @@ def test_json_round_trip_random(n, data):
         )
     )
     dg = Digraph(n, arcs)
-    assert Digraph.from_json_dict(dg.to_json_dict()).arcs == dg.arcs
+    if n > len(arcs):
+        # too few arcs to connect every vertex: refused before allocating
+        with pytest.raises(GraphError, match=f"{n} vertices but only"):
+            Digraph.from_json_dict(dg.to_json_dict())
+    else:
+        assert Digraph.from_json_dict(dg.to_json_dict()).arcs == dg.arcs
 
 
 def test_circuit_must_be_nonempty():

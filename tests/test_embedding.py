@@ -167,10 +167,8 @@ def test_a_rewired_child_is_traced_once_when_first_read(monkeypatch):
 
     rotation = list(emb.rotations[0])
     rotation[0], rotation[1] = rotation[1], rotation[0]
-    broken = emb.with_rotation(0, rotation)
-    assert broken._faces is None
-    with pytest.raises(EmbeddingError, match="does not alternate"):
-        broken.antifaces
+    with pytest.raises(EmbeddingError, match="vertex 0 does not alternate"):
+        emb.with_rotation(0, rotation)
 
 
 def test_antiface_lookup_by_key():
@@ -242,7 +240,16 @@ def test_verify_flags_corrupted_rotation(tournament7):
     broken.rotations = tuple(tuple(r) for r in rotations)
     report = verify_embedding(broken, decomposition)
     assert not report.ok
-    assert any(kind == "rotation-structure" for kind, _ in report.failures)
+    assert report.failures == (
+        ("rotation-structure", "rotation at vertex 0 is not a permutation of its half-arcs"),
+    )
+    # a permutation whose first two halves are swapped no longer alternates
+    rotations = [list(r) for r in emb.rotations]
+    rotations[1][:2] = rotations[1][1::-1]
+    broken.rotations = tuple(tuple(r) for r in rotations)
+    report = verify_embedding(broken, decomposition)
+    assert report.failures == (("alternation", "rotation at vertex 1 does not alternate"),)
+    assert report.summary() == "FAILED\nalternation: rotation at vertex 1 does not alternate"
 
 
 class _ForcedFaces(OrientedDirectedEmbedding):

@@ -6,7 +6,6 @@ follows the definition step by step.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,22 +40,21 @@ GRAPHS = _graphs()
 UNBALANCED = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
 
 
-def _reference_alternation_failure(rotations):
-    """First vertex with two cyclically consecutive half-arcs of one direction."""
+def _reference_fault(digraph, rotations):
+    """The message for the first rotation that is not a permutation of its
+    vertex's half-arcs or, failing that, has two cyclically consecutive
+    half-arcs of one direction; or None."""
     for v, rot in enumerate(rotations):
-        if len(rot) % 2 == 1:
-            return v
-        for i, h in enumerate(rot):
-            if (h & 1) == (rot[(i + 1) % len(rot)] & 1):
-                return v
+        if sorted(rot) != sorted(digraph.out_half_arcs(v) + digraph.in_half_arcs(v)):
+            return f"rotation at vertex {v} is not a permutation of its half-arcs"
+        if len(rot) % 2 == 1 or any(
+                (h & 1) == (rot[(i + 1) % len(rot)] & 1) for i, h in enumerate(rot)):
+            return f"rotation at vertex {v} does not alternate"
     return None
 
 
 def _reference_faces(embedding):
     """Orbit walk over next_cw / prev_cw, one method call per arc."""
-    bad = _reference_alternation_failure(embedding.rotations)
-    if bad is not None:
-        raise EmbeddingError(f"rotation at vertex {bad} does not alternate")
     families = []
     for color, step in (("pro", embedding.prev_cw), ("anti", embedding.next_cw)):
         seen = set()
@@ -81,14 +79,17 @@ def _snapshot(faces):
     return [(f.color, f.walk, f.corners, f.vertex_set()) for f in faces]
 
 
+def _interleaved(outs, ins, shift):
+    rotation = [h for pair in zip(outs, ins) for h in pair]
+    return rotation[shift:] + rotation[:shift]
+
+
 def _alternating(digraph, v, rng):
     outs = list(digraph.out_half_arcs(v))
     ins = list(digraph.in_half_arcs(v))
     rng.shuffle(outs)
     rng.shuffle(ins)
-    rotation = [h for pair in zip(outs, ins) for h in pair]
-    shift = rng.randrange(len(rotation)) if rotation else 0
-    return rotation[shift:] + rotation[:shift]
+    return _interleaved(outs, ins, rng.randrange(len(outs + ins)) if outs + ins else 0)
 
 
 def _scrambled(digraph, v, rng):
@@ -97,19 +98,20 @@ def _scrambled(digraph, v, rng):
     return rotation
 
 
-def _random_embedding(digraph, rng, scramble=0.0):
+def _random_rotations(digraph, rng, scramble=0.0):
     """Alternating rotations, each scrambled instead with the given chance."""
     rotations = []
     for v in range(digraph.n):
         make = _scrambled if rng.random() < scramble else _alternating
         rotations.append(make(digraph, v, rng))
-    return OrientedDirectedEmbedding(digraph, rotations)
+    return rotations
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(range(len(GRAPHS))), st.integers(0, 2**32 - 1))
 def test_flat_tracer_equals_the_reference_orbit_walk(graph_index, seed):
-    emb = _random_embedding(GRAPHS[graph_index], random.Random(seed))
+    digraph = GRAPHS[graph_index]
+    emb = OrientedDirectedEmbedding(digraph, _random_rotations(digraph, random.Random(seed)))
     want = _reference_faces(emb)
     got = emb._trace()
     assert [_snapshot(faces) for faces in got] == [_snapshot(faces) for faces in want]
@@ -117,57 +119,56 @@ def test_flat_tracer_equals_the_reference_orbit_walk(graph_index, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(range(len(GRAPHS))),
+    st.sampled_from(GRAPHS + (UNBALANCED,)),
     st.integers(0, 2**32 - 1),
     st.sampled_from((0.1, 0.5, 1.0)),
 )
-def test_flat_tracer_raises_like_the_reference(graph_index, seed, scramble):
-    emb = _random_embedding(GRAPHS[graph_index], random.Random(seed), scramble)
-    try:
-        want = _reference_faces(emb)
-    except EmbeddingError as exc:
+def test_flat_tracer_raises_like_the_reference(digraph, seed, scramble):
+    rotations = _random_rotations(digraph, random.Random(seed), scramble)
+    want = _reference_fault(digraph, rotations)
+    if want is not None:
+        # the rotations are read when the embedding is built, before a trace
         with pytest.raises(EmbeddingError) as caught:
-            emb._trace()
-        assert str(caught.value) == str(exc)
+            OrientedDirectedEmbedding(digraph, rotations)
+        assert str(caught.value) == want
     else:
+        emb = OrientedDirectedEmbedding(digraph, rotations)
         got = emb._trace()
+        want = _reference_faces(emb)
         assert [_snapshot(faces) for faces in got] == [_snapshot(faces) for faces in want]
 
 
+def _any_rotation(digraph, v):
+    """An alternating arrangement of v's half-arcs, any arrangement of
+    them, or any short list of half-arc ids."""
+    outs, ins = digraph.out_half_arcs(v), digraph.in_half_arcs(v)
+    return st.one_of(
+        st.builds(_interleaved, st.permutations(outs), st.permutations(ins),
+                  st.integers(0, len(outs + ins))),
+        st.permutations(outs + ins),
+        st.lists(st.integers(0, 2 * digraph.m + 1), max_size=len(outs + ins) + 1),
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 40), max_size=9), max_size=5))
-def test_alternation_rule_equals_the_per_pair_definition(rotations):
-    # the rule reads only the rotations, so any integer sequences will do
-    fake = SimpleNamespace(rotations=tuple(map(tuple, rotations)))
-    got = OrientedDirectedEmbedding.alternation_failure(fake)
-    assert got == _reference_alternation_failure(fake.rotations)
-    # blocks_at raises exactly where the rule fails, and otherwise lays the
-    # rotation back out from its first outgoing half
-    for v, rot in enumerate(fake.rotations):
-        if _reference_alternation_failure([rot]) is not None:
-            with pytest.raises(EmbeddingError, match=f"vertex {v} does not alternate"):
-                OrientedDirectedEmbedding.blocks_at(fake, v)
-            continue
+@given(st.data())
+def test_alternation_rule_equals_the_per_pair_definition(data):
+    digraph = data.draw(st.sampled_from(GRAPHS + (UNBALANCED,)))
+    rotations = data.draw(st.tuples(*(_any_rotation(digraph, v) for v in range(digraph.n))))
+    # construction rejects exactly what the reference rejects, at the same
+    # first vertex and with the same message
+    want = _reference_fault(digraph, rotations)
+    if want is not None:
+        with pytest.raises(EmbeddingError) as caught:
+            OrientedDirectedEmbedding(digraph, rotations)
+        assert str(caught.value) == want
+        return
+    emb = OrientedDirectedEmbedding(digraph, rotations)
+    # blocks_at lays each rotation back out from its first outgoing half
+    for v, rot in enumerate(rotations):
         start = next((i for i, h in enumerate(rot) if h & 1 == 0), 0)
-        turned = rot[start:] + rot[:start]
-        assert flat_rotation(OrientedDirectedEmbedding.blocks_at(fake, v)) == turned
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(GRAPHS + (UNBALANCED,)),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from((0.0, 0.3, 1.0)),
-)
-def test_alternation_failure_on_embeddings(digraph, seed, scramble):
-    rng = random.Random(seed)
-    if digraph is UNBALANCED:
-        emb = OrientedDirectedEmbedding(
-            digraph, [_scrambled(digraph, v, rng) for v in range(digraph.n)]
-        )
-    else:
-        emb = _random_embedding(digraph, rng, scramble)
-    assert emb.alternation_failure() == _reference_alternation_failure(emb.rotations)
+        turned = tuple(rot[start:]) + tuple(rot[:start])
+        assert flat_rotation(emb.blocks_at(v)) == turned
 
 
 def _old_arrival_at(face, v):

@@ -364,6 +364,45 @@ def test_case_one_steps_trace_no_faces(n, monkeypatch):
     assert verify_embedding(final, decomposition).ok
 
 
+@pytest.mark.parametrize("validate_steps", [False, True])
+def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypatch):
+    """``_blocks`` reads a rotation at most once per embedding the
+    constructor builds, once per ``with_rotation`` child (its new rotation
+    only) and once per ``verify_embedding``."""
+    from eulergenus import embedding as embedding_module
+    from eulergenus import reduce as reduce_module
+
+    digraph = gen_random_dense_eulerian(21, 2, seed=5)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    rng = random.Random("random-21-k2/1")
+    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    calls = dict.fromkeys(("blocks", "built", "children", "verified"), 0)
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(embedding_module, "_blocks",
+                        counting("blocks", embedding_module._blocks))
+    monkeypatch.setattr(OrientedDirectedEmbedding, "__init__",
+                        counting("built", OrientedDirectedEmbedding.__init__))
+    monkeypatch.setattr(OrientedDirectedEmbedding, "with_rotation",
+                        counting("children", OrientedDirectedEmbedding.with_rotation))
+    monkeypatch.setattr(reduce_module, "verify_embedding",
+                        counting("verified", reduce_module.verify_embedding))
+    final, trace = reduce_embedding(start, decomposition, mode=STRICT,
+                                    validate_steps=validate_steps)
+    monkeypatch.undo()
+    assert any(step.case != "1" for step in trace.steps)
+    assert calls["built"] and calls["children"]
+    assert calls["verified"] == (len(trace.steps) if validate_steps else 0)
+    n = digraph.n
+    assert calls["blocks"] <= n * (calls["built"] + calls["verified"]) + calls["children"]
+    assert verify_embedding(final, decomposition).ok
+
+
 def test_a_loop_off_the_blown_up_faces_raises(circ11, monkeypatch):
     """Keys are reused across surgeries, so a loop on a face the blow up did
     not touch is an error, also under ``-O``."""

@@ -60,15 +60,25 @@ def check_json_ints(rows):
         raise TypeError(f"{bad!r} is not an integer")
 
 
+def require_ints(rows, error, what):
+    """Raise ``error`` unless every item of every row is an integer, as
+    ``check_json_ints`` decides; ``what`` names the items."""
+    try:
+        check_json_ints(rows)
+    except TypeError as exc:
+        raise error(f"{what} must be integers: {exc}") from None
+
+
 class Digraph:
     """Finite multidigraph on vertices ``0..n-1``, loops and parallels allowed."""
 
     __slots__ = ("n", "arcs", "_out", "_in", "_connected", "_profile")
 
     def __init__(self, n, arcs):
+        arcs = tuple((t, h) for t, h in arcs)
+        require_ints([(n,), *arcs], GraphError, "the vertex count and arc endpoints")
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
-        arcs = tuple((int(t), int(h)) for t, h in arcs)
         for a, (t, h) in enumerate(arcs):
             if not (0 <= t < n and 0 <= h < n):
                 raise GraphError(f"arc {a} = ({t}, {h}) has an endpoint outside 0..{n - 1}")
@@ -193,7 +203,8 @@ class DirectedCircuit:
     __slots__ = ("digraph", "arc_ids")
 
     def __init__(self, digraph, arc_ids):
-        arc_ids = tuple(map(int, arc_ids))
+        arc_ids = tuple(arc_ids)
+        require_ints((arc_ids,), GraphError, "circuit arc ids")
         if not arc_ids:
             raise GraphError("a circuit must contain at least one arc")
         if len(set(arc_ids)) != len(arc_ids):
@@ -421,9 +432,10 @@ class UndirectedGraph:
     __slots__ = ("n", "edges", "_incident")
 
     def __init__(self, n, edges):
+        edges = tuple((u, v) for u, v in edges)
+        require_ints([(n,), *edges], GraphError, "the vertex count and edge endpoints")
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
-        edges = tuple((int(u), int(v)) for u, v in edges)
         for e, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e} = ({u}, {v}) has an endpoint outside 0..{n - 1}")

@@ -37,7 +37,7 @@ touches while untouched faces never pay for it.
 
 from itertools import chain
 
-from .digraph import check_json_ints
+from .digraph import check_json_ints, require_ints
 from .errors import EmbeddingError, GraphError
 
 
@@ -157,7 +157,8 @@ class OrientedDirectedEmbedding:
     __slots__ = ("digraph", "rotations", "halves", "_faces", "_antiface_index")
 
     def __init__(self, digraph, rotations):
-        rotations = tuple(tuple(map(int, rot)) for rot in rotations)
+        rotations = tuple(map(tuple, rotations))
+        require_ints(rotations, EmbeddingError, "rotation half-arcs")
         if len(rotations) != digraph.n:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
@@ -268,7 +269,8 @@ class OrientedDirectedEmbedding:
         Only the new rotation is read; every other rotation and its halves
         are shared.  The child's faces are traced in full when first read.
         """
-        rotation = tuple(map(int, new_rotation))
+        rotation = tuple(new_rotation)
+        require_ints((rotation,), EmbeddingError, "rotation half-arcs")
         halves = _blocks(self.digraph, v, rotation)
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
         child.digraph = self.digraph

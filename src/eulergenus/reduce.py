@@ -20,30 +20,33 @@ guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors.
 
 Cost model.  On dense inputs nearly every step is case 1, and the merged
-antiface keeps growing, so the reducer does not run case 1 on embeddings.
-It keeps the antifaces in a private core: the block order at each vertex
-and a union-find over arc ids whose roots are the orbits' least arcs, so
-``2 * root`` is a face key.  A case-1 step reorders the blocks at one vertex
-and unions three orbits, costing O(deg v · α) whatever the faces' lengths.
-Every other step needs the touch graph and the surgeries, so it builds an
-``OrientedDirectedEmbedding`` from the core (one full trace, O(m)), runs on
-it, and reloads the core from the result.  The final embedding is built
-once, and ``validate_steps=True`` builds and verifies one after every step.
-Each built embedding must have exactly the core's orbits as antifaces.
+antiface keeps growing, so the reducer does not re-trace faces for case 1.
+A private core holds the current embedding and a union-find over arc ids
+whose roots are the antiface orbits' least arcs, so ``2 * root`` is a face
+key.  A case-1 step re-pairs three blocks at one vertex through
+``surgery._rewire_three``, whose child shares every other rotation and is
+traced only when read, and unions three orbits.  The child copies two
+n-tuples of references, and under the theorem's density bound
+(deg v >= (4n + 2)/5) that is still O(deg v), so the step costs
+O(deg v · α) whatever the faces' lengths.  Every other step needs the
+touch graph and the surgeries, so it traces the current embedding (O(m)),
+runs on it, and reloads the core from the result.  No step builds an
+embedding through the constructor.  The final embedding is traced once,
+and ``validate_steps=True`` verifies the current one after every step.
+The first read of each embedding the core holds checks that its antifaces
+are exactly the core's orbits.
 """
-
-import heapq
 
 from .digraph import (CircuitDecomposition, Digraph, DirectedCircuit,
                       _euler_circuits, density_profile, underlying_simple_graph)
 from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
-                        flat_rotation, successors, verify_embedding)
+                        successors, verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
 from .interlace import (check_big_moderate, check_diamond_corollary,
                         check_three_neighbor_corollary, extract_dense_subgraph,
                         three_neighbor_search)
-from .surgery import _three_cycle, blow_up, merge_interlaced
+from .surgery import _rewire_three, blow_up, merge_interlaced
 from .touch import build_touch_graph, classify
 
 STRICT = "strict"
@@ -135,33 +138,29 @@ class ReductionTrace:
 
 
 class _AntifaceCore:
-    """The antifaces of an embedding with fixed profaces, kept for case 1.
+    """The reducer's current embedding and its antifaces as a union-find.
 
-    ``blocks[v]`` is the (outgoing, incoming) block order at v, clockwise
-    from the first block of the rotation it was read from, and ``parent``
-    a union-find over arc ids: an arc's orbit is its antiface, and each
-    root is its orbit's least arc, so ``2 * root`` is the face key and a
-    union is a min.  ``crowded`` is a min-heap of the vertices that were on
+    ``current`` is the embedding the reducer stands on, and ``parent`` a
+    union-find over arc ids: an arc's orbit is its antiface, and each root
+    is its orbit's least arc, so ``2 * root`` is the face key and a union is
+    a min.  ``crowded`` lists, highest first, the vertices that were on
     three or more orbits when the core was loaded; merges only union
     orbits, so no vertex joins it later, and its lowest vertex is
-    re-checked and popped until one still qualifies.  ``rotations`` are
-    those of the last embedding read or built, and ``dirty`` the vertices
-    whose blocks have moved since.
+    re-checked and popped until one still qualifies.  A merge replaces
+    ``current`` by a ``with_rotation`` child, whose faces are traced only
+    when read; ``checked`` is set once ``embedding()`` has checked it.
     """
 
-    __slots__ = ("digraph", "rotations", "blocks", "dirty", "parent", "roots", "crowded")
+    __slots__ = ("digraph", "current", "checked", "parent", "roots", "crowded")
 
     def __init__(self, embedding):
         self.digraph = embedding.digraph
         self.load(embedding)
 
     def load(self, embedding):
-        """Read the block orders and antiface orbits of ``embedding``."""
+        """Stand on ``embedding`` and read its antiface orbits."""
         digraph = self.digraph
         m = digraph.m
-        self.rotations = list(embedding.rotations)
-        self.blocks = [list(zip(*halves)) for halves in embedding.halves]
-        self.dirty = set()
         leave = successors(embedding.halves, m, "anti")
         parent = [-1] * m
         for root in range(m):
@@ -169,10 +168,12 @@ class _AntifaceCore:
             while parent[a] < 0:
                 parent[a] = root
                 a = leave[a] >> 1
+        self.current = embedding
+        self.checked = False
         self.parent = parent
         self.roots = {a for a in range(m) if parent[a] == a}
         self.crowded = [
-            v for v in range(digraph.n)
+            v for v in reversed(range(digraph.n))
             if len({parent[h >> 1] for h in digraph.in_half_arcs(v)}) > 2
         ]
 
@@ -190,18 +191,18 @@ class _AntifaceCore:
         three least, or None; as ``find_vertex_on_three_antifaces``."""
         crowded = self.crowded
         while crowded:
-            v = crowded[0]
+            v = crowded[-1]
             roots = sorted({self.find(h >> 1) for h in self.digraph.in_half_arcs(v)})
             if len(roots) > 2:
                 return v, roots[:3]
-            heapq.heappop(crowded)
+            crowded.pop()
         return None
 
     def merge(self, v, roots):
         """Merge the antifaces with the three given roots at v, as
         ``merge_three_at_vertex``: each arrives on its lowest incoming half
-        at v, the blocks of those halves take ``_three_cycle``, and the
-        three orbits become one."""
+        at v, ``_rewire_three`` re-pairs those arrivals, and the three
+        orbits become one."""
         if len(set(roots)) != 3:
             raise EmbeddingError("the three antifaces must be distinct")
         arrival = {}
@@ -211,12 +212,8 @@ class _AntifaceCore:
                 arrival[root] = h
         if len(arrival) != 3:
             raise EmbeddingError(f"the three antifaces do not all visit vertex {v}")
-        blocks = self.blocks[v]
-        chosen = set(arrival.values())
-        self.blocks[v] = _three_cycle(
-            blocks, *[i for i, (_, h) in enumerate(blocks) if h in chosen]
-        )
-        self.dirty.add(v)
+        self.current = _rewire_three(self.current, v, *arrival.values())
+        self.checked = False
         # successors 3-cycled over three distinct orbits join them into one
         low = min(roots)
         for root in roots:
@@ -225,45 +222,36 @@ class _AntifaceCore:
         self.roots.add(low)
 
     def embedding(self):
-        """The embedding the core describes; its faces are traced when read."""
-        for v in self.dirty:
-            self.rotations[v] = flat_rotation(self.blocks[v])
-        self.dirty.clear()
-        return OrientedDirectedEmbedding(self.digraph, self.rotations)
-
-    def check(self, embedding):
-        """``embedding``, once its antifaces are exactly the core's orbits."""
-        keys = [face.key for face in embedding.antifaces]
-        if keys != sorted(2 * root for root in self.roots):
-            raise EmbeddingError(
-                f"the embedding's {len(keys)} antifaces are not the core's "
-                f"{len(self.roots)} orbits"
-            )
+        """The current embedding; its first read checks that its antifaces
+        are exactly the core's orbits."""
+        embedding = self.current
+        if not self.checked:
+            keys = [face.key for face in embedding.antifaces]
+            if keys != sorted(2 * root for root in self.roots):
+                raise EmbeddingError(
+                    f"the embedding's {len(keys)} antifaces are not the core's "
+                    f"{len(self.roots)} orbits"
+                )
+            self.checked = True
         return embedding
 
 
 class _Reducer:
-    def __init__(self, embedding, decomposition, mode, validate_steps):
+    def __init__(self, embedding, decomposition, validate_steps):
         self.digraph = embedding.digraph
         self.decomposition = decomposition
         self.profile = density_profile(self.digraph)
-        self.mode = mode
         self.validate_steps = validate_steps
         self.trace = ReductionTrace()
         self.core = _AntifaceCore(embedding)
-        self._emb = embedding  # None while the core is ahead of it
 
     @property
     def emb(self):
-        """The current embedding, built from the core after case-1 merges."""
-        if self._emb is None:
-            self._emb = self.core.check(self.core.embedding())
-        return self._emb
+        return self.core.embedding()
 
     def adopt(self, embedding):
         """Continue from a surgery's result."""
-        if embedding is not self._emb:
-            self._emb = embedding
+        if embedding is not self.core.current:
             self.core.load(embedding)
 
     def count(self):
@@ -275,13 +263,12 @@ class _Reducer:
     def record(self, case, operation, witness, count_before):
         self.trace.record(case, operation, witness, count_before, self.count())
         if self.validate_steps:
-            emb = self.core.embedding() if self._emb is None else self._emb
-            # verify first: it names the broken property, the core check
+            # verify first: it names the broken property, the core's check
             # only that the core and the embedding disagree
-            report = verify_embedding(emb, self.decomposition)
+            report = verify_embedding(self.core.current, self.decomposition)
             if not report.ok:
                 raise EmbeddingError(report.summary())
-            self._emb = self.core.check(emb)
+            self.core.embedding()
 
     def merge_cert(self, cert, case):
         before = self.count()
@@ -321,7 +308,6 @@ class _Reducer:
             return False
         before = self.count()
         self.core.merge(*hit)
-        self._emb = None
         self.record("1", "merge_three_at_vertex", {"vertex": hit[0]}, before)
         return True
 
@@ -516,9 +502,16 @@ class _Reducer:
         self.merge_cert(cert, "3.2.2")
 
 
-def _check_mode(digraph, mode):
-    """Reject an unknown mode, and in strict mode a digraph outside the
-    theorem's hypotheses of order at least 7 and density."""
+def _check_input(digraph, decomposition, mode):
+    """Reject a decomposition of another digraph, an unbalanced or
+    disconnected digraph, an unknown mode, and in strict mode a digraph
+    outside the theorem's hypotheses of order at least 7 and density."""
+    if decomposition.digraph != digraph:
+        raise GraphError("decomposition belongs to a different digraph")
+    if not digraph.is_balanced():
+        raise GraphError("digraph is not balanced")
+    if not digraph.is_connected():
+        raise GraphError("digraph is not connected")
     if mode not in (STRICT, BEST_EFFORT):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == STRICT:
@@ -540,25 +533,18 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
     moves on any eulerian connected digraph and raises NoProgressError at a
     dead end.
     """
-    if decomposition.digraph != digraph:
-        raise GraphError("decomposition belongs to a different digraph")
-    if not digraph.is_balanced():
-        raise GraphError("digraph is not balanced")
-    if not digraph.is_connected():
-        raise GraphError("digraph is not connected")
-    _check_mode(digraph, mode)
+    _check_input(digraph, decomposition, mode)
     if digraph.n <= 2:
         return small_order_embedding(digraph, decomposition)
     embedding = embed_from_decomposition(digraph, decomposition)
-    reducer = _Reducer(embedding, decomposition, mode, validate_steps)
-    return reducer.run()
+    return _Reducer(embedding, decomposition, validate_steps).run()
 
 
 def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
                      validate_steps=False):
     """Continue reducing an existing embedding whose profaces are already
     the given circuits.  Same contract as reduce_to_upper_embedding."""
-    _check_mode(embedding.digraph, mode)
+    _check_input(embedding.digraph, decomposition, mode)
     # the profaces are the circuits exactly when each incoming half sits in
     # a block with the outgoing half its circuit continues to
     fw = decomposition.fw
@@ -567,8 +553,7 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     for outgoing, incoming in embedding.halves:
         if tuple(map(fw.get, incoming)) != outgoing:
             raise EmbeddingError("embedding profaces do not match the decomposition")
-    reducer = _Reducer(embedding, decomposition, mode, validate_steps)
-    return reducer.run()
+    return _Reducer(embedding, decomposition, validate_steps).run()
 
 
 def small_order_embedding(digraph, decomposition):
@@ -586,27 +571,19 @@ def small_order_embedding(digraph, decomposition):
         raise GraphError("digraph is not eulerian")
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
-    trace = ReductionTrace()
     if digraph.n == 2:
         forward = [a for a in range(digraph.m) if digraph.arcs[a] == (0, 1)]
         backward = [a for a in range(digraph.m) if digraph.arcs[a] == (1, 0)]
         if len(forward) != len(backward):
             raise GraphError("the two vertices are joined unequally each way")
         if len(forward) == 1:
-            return _splice_across_two_cut(
-                digraph, decomposition, trace, forward[0], backward[0]
-            )
+            return _splice_across_two_cut(digraph, decomposition, forward[0], backward[0])
 
-    core = _AntifaceCore(embed_from_decomposition(digraph, decomposition))
-    while True:
-        hit = core.lowest_crowded()
-        if hit is None:
-            break
-        before = core.count()
-        core.merge(*hit)
-        trace.record("1", "merge_three_at_vertex", {"vertex": hit[0]},
-                     before, core.count())
-    emb = core.check(core.embedding())
+    reducer = _Reducer(embed_from_decomposition(digraph, decomposition),
+                       decomposition, validate_steps=False)
+    while reducer.merge_reducible_vertex():
+        pass
+    emb, trace = reducer.emb, reducer.trace
     if len(emb.antifaces) > 2:
         # locally irreducible on two vertices: must be the path configuration
         spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
@@ -629,7 +606,7 @@ def small_order_embedding(digraph, decomposition):
     return emb, trace
 
 
-def _splice_across_two_cut(digraph, decomposition, trace, forward, backward):
+def _splice_across_two_cut(digraph, decomposition, forward, backward):
     """Two vertices joined by one arc each way: solve each side with its
     share of the crossing circuit replaced by a loop, then substitute the
     crossing arcs back into the rotations."""
@@ -692,6 +669,7 @@ def _splice_across_two_cut(digraph, decomposition, trace, forward, backward):
             f"the spliced embedding has {len(emb.antifaces)} antifaces, "
             f"not {counts[0] + counts[1] - 1}"
         )
+    trace = ReductionTrace()
     trace.metadata["splice"] = {
         "cut_arcs": [forward, backward],
         "side_antifaces": counts,

@@ -53,22 +53,16 @@ def _cyclic_slice(seq, i, j):
     return tuple(seq[i:]) + tuple(seq[:j + 1])
 
 
-def _three_cycle(blocks, a, b, c):
-    """The block list with blocks a < b < c reordered to B_a, B_(b+1..c),
-    B_(a+1..b), B_(c+1..a-1).
-
-    The effect is a 3-cycle on the antiface pairing: each of the three
-    incoming halves now continues to the old continuation of the
-    clockwise-next one.  All blocks stay intact, so profaces are untouched.
-    """
-    return (blocks[a:a + 1] + blocks[b + 1:c + 1] + blocks[a + 1:b + 1]
-            + blocks[c + 1:] + blocks[:a])
-
-
 def _rewire_three(embedding, v, h1, h2, h3):
-    """Advance the antiface departures after three incoming half-arcs at v,
-    by ``_three_cycle`` on the blocks that hold them."""
-    blocks = list(embedding.blocks_at(v))
+    """Advance the antiface departures after three incoming half-arcs at v.
+
+    The blocks that hold them, at positions a < b < c, are reordered to
+    B_a, B_(b+1..c), B_(a+1..b), B_(c+1..a-1).  The effect is a 3-cycle on
+    the antiface pairing: each of the three incoming halves now continues
+    to the old continuation of the clockwise-next one.  All blocks stay
+    intact, so profaces are untouched.
+    """
+    blocks = embedding.blocks_at(v)
     pos = {h: i for i, (_, h) in enumerate(blocks)}
     for h in (h1, h2, h3):
         if h not in pos:
@@ -76,9 +70,8 @@ def _rewire_three(embedding, v, h1, h2, h3):
     if len({h1, h2, h3}) != 3:
         raise EmbeddingError("the three incoming half-arcs must be distinct")
     a, b, c = sorted((pos[h1], pos[h2], pos[h3]))
-    reordered = _three_cycle(blocks, a, b, c)
-    if len(reordered) != len(blocks):
-        raise EmbeddingError(f"re-pairing at vertex {v} lost blocks")
+    reordered = (blocks[a:a + 1] + blocks[b + 1:c + 1] + blocks[a + 1:b + 1]
+                 + blocks[c + 1:] + blocks[:a])
     return embedding.with_rotation(v, flat_rotation(reordered))
 
 

@@ -8,9 +8,12 @@ import pytest
 from eulergenus import (
     CircuitDecomposition,
     Digraph,
+    DirectedCircuit,
     EmbeddingError,
     FaceWalk,
+    GraphError,
     OrientedDirectedEmbedding,
+    UndirectedGraph,
     embed_from_decomposition,
     euler_circuit,
     euler_genus,
@@ -140,6 +143,33 @@ def test_with_rotation_validates_the_new_rotation_only():
         emb.with_rotation(2, emb.rotations[2][1:])
     child = emb.with_rotation(2, emb.rotations[2][::-1])
     assert child.rotations[3] is emb.rotations[3]
+
+
+def _nudged(rotation):
+    return (rotation[0] + 0.7,) + rotation[1:]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda emb: OrientedDirectedEmbedding(
+        emb.digraph, (_nudged(emb.rotations[0]),) + emb.rotations[1:]),
+     EmbeddingError, "rotation half-arcs must be integers: 0.7 is not"),
+    (lambda emb: emb.with_rotation(3, _nudged(emb.rotations[3])),
+     EmbeddingError, "rotation half-arcs must be integers: 22.7 is not"),
+    (lambda emb: Digraph(3, [(0, 1.5), (1.5, 0)]),
+     GraphError, "arc endpoints must be integers: 1.5 is not"),
+    (lambda emb: Digraph(True, [(0, 0)]),
+     GraphError, "arc endpoints must be integers: True is not"),
+    (lambda emb: DirectedCircuit(emb.digraph, ["0", True, 2]),
+     GraphError, "circuit arc ids must be integers: '0' is not"),
+    (lambda emb: UndirectedGraph(3, [(0, 1), (1, 2.0), (2, 0)]),
+     GraphError, "edge endpoints must be integers: 2.0 is not"),
+], ids=["embedding", "with_rotation", "digraph", "vertex-count", "circuit", "undirected"])
+def test_constructors_refuse_non_integer_ids(tournament7, build, error, message):
+    """Ids are checked, not truncated: ``int`` would turn h + 0.7 back into h."""
+    digraph, decomposition = tournament7
+    emb = embed_from_decomposition(digraph, decomposition)
+    with pytest.raises(error, match=message):
+        build(emb)
 
 
 def test_a_rewired_child_is_traced_once_when_first_read(monkeypatch):

@@ -34,6 +34,7 @@ from eulergenus import (
     undirected_upper_embedding,
     verify_embedding,
 )
+from eulergenus.embedding import flat_rotation
 from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore
 from eulergenus.surgery import _rewire_three
 
@@ -85,6 +86,31 @@ def test_disconnected_digraphs_are_rejected():
     decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0], [1]])
     with pytest.raises(GraphError, match="not connected"):
         reduce_to_upper_embedding(digraph, decomposition)
+
+
+def test_reduce_embedding_rejects_a_decomposition_of_another_digraph(tournament7):
+    digraph, decomposition = tournament7
+    start = embed_from_decomposition(digraph, decomposition)
+    other = Digraph(8, digraph.arcs)  # the same arcs plus an isolated vertex
+    foreign = CircuitDecomposition.from_arc_lists(
+        other, [c.arc_ids for c in decomposition.circuits]
+    )
+    with pytest.raises(GraphError, match="decomposition belongs to a different digraph"):
+        reduce_embedding(start, foreign)
+
+
+def test_reduce_embedding_rejects_a_disconnected_digraph():
+    # two bidirected triangles, each 2-cycle a circuit: four antifaces
+    arcs = [(u, w) for base in (0, 3) for i in range(3)
+            for u, w in ((base + i, base + (i + 1) % 3), (base + (i + 1) % 3, base + i))]
+    digraph = Digraph(6, arcs)
+    decomposition = CircuitDecomposition.from_arc_lists(
+        digraph, [[2 * i, 2 * i + 1] for i in range(6)]
+    )
+    start = embed_from_decomposition(digraph, decomposition)
+    assert len(start.antifaces) == 4
+    with pytest.raises(GraphError, match="digraph is not connected"):
+        reduce_embedding(start, decomposition, mode=BEST_EFFORT)
 
 
 def test_strict_tournament_reaches_one_antiface(tournament7):
@@ -218,10 +244,10 @@ def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
 
     def corrupting_merge(core, v, roots):
         real_merge(core, v, roots)
-        blocks = core.blocks[0]
-        (g0, h0), (g1, h1) = blocks[:2]
-        blocks[:2] = [(g1, h0), (g0, h1)]  # re-pair two blocks: profaces change
-        core.dirty.add(0)
+        (g0, h0), (g1, h1), *rest = core.current.blocks_at(0)
+        # re-pair two blocks: profaces change
+        core.current = core.current.with_rotation(
+            0, flat_rotation([(g1, h0), (g0, h1), *rest]))
 
     monkeypatch.setattr(_AntifaceCore, "merge", corrupting_merge)
     emb = nth_state(digraph, decomposition, 0)
@@ -298,12 +324,12 @@ def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
         emb = merge_three_at_vertex(emb, v, *faces).embedding
         stepped.merge(*hit)
         unbuilt.merge(*hit)
-        built = stepped.check(stepped.embedding())
+        built = stepped.embedding()
         assert built.rotations[v] == emb.rotations[v]
         assert built.rotations == emb.rotations
         assert [f.key for f in built.antifaces] == [f.key for f in emb.antifaces]
         assert stepped.count() == len(built.antifaces) == len(emb.antifaces)
-    assert unbuilt.check(unbuilt.embedding()).rotations == emb.rotations
+    assert unbuilt.embedding().rotations == emb.rotations
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,7 +394,8 @@ def test_case_one_steps_trace_no_faces(n, monkeypatch):
 def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypatch):
     """``_blocks`` reads a rotation at most once per embedding the
     constructor builds, once per ``with_rotation`` child (its new rotation
-    only) and once per ``verify_embedding``."""
+    only) and once per ``verify_embedding``; the reducer builds no
+    embedding through the constructor."""
     from eulergenus import embedding as embedding_module
     from eulergenus import reduce as reduce_module
 
@@ -396,7 +423,7 @@ def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypa
                                     validate_steps=validate_steps)
     monkeypatch.undo()
     assert any(step.case != "1" for step in trace.steps)
-    assert calls["built"] and calls["children"]
+    assert calls["built"] == 0 and calls["children"]
     assert calls["verified"] == (len(trace.steps) if validate_steps else 0)
     n = digraph.n
     assert calls["blocks"] <= n * (calls["built"] + calls["verified"]) + calls["children"]

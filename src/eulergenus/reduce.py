@@ -543,7 +543,8 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
 def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
                      validate_steps=False):
     """Continue reducing an existing embedding whose profaces are already
-    the given circuits.  Same contract as reduce_to_upper_embedding."""
+    the given circuits.  Same contract as reduce_to_upper_embedding, and
+    digraphs on one or two vertices take the same small-order route."""
     _check_input(embedding.digraph, decomposition, mode)
     # the profaces are the circuits exactly when each incoming half sits in
     # a block with the outgoing half its circuit continues to
@@ -553,6 +554,8 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     for outgoing, incoming in embedding.halves:
         if tuple(map(fw.get, incoming)) != outgoing:
             raise EmbeddingError("embedding profaces do not match the decomposition")
+    if embedding.digraph.n <= 2 and len(embedding.antifaces) > 2:
+        return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
 
 
@@ -571,6 +574,14 @@ def small_order_embedding(digraph, decomposition):
         raise GraphError("digraph is not eulerian")
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
+    return _small_order(embed_from_decomposition(digraph, decomposition),
+                        decomposition, validate_steps=False)
+
+
+def _small_order(embedding, decomposition, validate_steps):
+    """Reduce an embedding on one or two vertices to at most two antifaces,
+    as ``small_order_embedding`` describes; a 2-cut is spliced afresh."""
+    digraph = embedding.digraph
     if digraph.n == 2:
         forward = [a for a in range(digraph.m) if digraph.arcs[a] == (0, 1)]
         backward = [a for a in range(digraph.m) if digraph.arcs[a] == (1, 0)]
@@ -579,8 +590,7 @@ def small_order_embedding(digraph, decomposition):
         if len(forward) == 1:
             return _splice_across_two_cut(digraph, decomposition, forward[0], backward[0])
 
-    reducer = _Reducer(embed_from_decomposition(digraph, decomposition),
-                       decomposition, validate_steps=False)
+    reducer = _Reducer(embedding, decomposition, validate_steps)
     while reducer.merge_reducible_vertex():
         pass
     emb, trace = reducer.emb, reducer.trace

@@ -1,5 +1,6 @@
 """Exhaustive state-space enumeration used to certify small instances."""
 
+import gc
 from math import factorial, prod
 
 import pytest
@@ -22,7 +23,7 @@ from eulergenus import (
 )
 from eulergenus import oracle
 
-from conftest import all_decompositions
+from conftest import all_decompositions, circulant
 
 
 def _reference_tally(digraph, decomposition):
@@ -182,7 +183,7 @@ def small_eulerian_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(small_eulerian_instances())
-def test_gray_tally_matches_the_lexicographic_stream(instance):
+def test_elimination_tally_matches_the_lexicographic_stream(instance):
     digraph, decomposition = instance
     summary = enumerate_relative_embeddings(digraph, decomposition)
     assert summary.distribution == _reference_tally(digraph, decomposition)
@@ -205,20 +206,29 @@ def test_tally_raises_when_it_misses_the_state_count(monkeypatch, tournament7):
         enumerate_relative_embeddings(digraph, decomposition)
 
 
-@pytest.mark.parametrize("k", range(7))
-def test_plain_change_swaps_visit_every_order_once(k):
-    swaps = oracle._sjt_swaps(k)
-    assert len(swaps) == factorial(k) - 1
-    order = list(range(k))
-    seen = {tuple(order)}
-    for p in swaps:
-        assert 0 <= p < k - 1  # one adjacent transposition
-        order[p], order[p + 1] = order[p + 1], order[p]
-        seen.add(tuple(order))
-    assert len(seen) == factorial(k)
-    for p in reversed(swaps):
-        order[p], order[p + 1] = order[p + 1], order[p]
-    assert order == list(range(k))
+@pytest.mark.parametrize("digraph, distribution", [
+    (gen_rotational_tournament(9), {2: 5576785, 4: 4106793, 6: 388332, 8: 5778, 10: 8}),
+    (circulant(23, (1, 7, 11)), {1: 1691941, 3: 5520773, 5: 1151436, 7: 24458}),
+], ids=["tournament9", "circulant23"])
+def test_large_distributions_match_the_state_by_state_tally(digraph, distribution):
+    """Pinned from a tally that walked all 10,077,696 and 8,388,608 states."""
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    states = state_count(digraph)
+    summary = enumerate_relative_embeddings(digraph, decomposition, limit=states)
+    assert summary.distribution == distribution
+    assert summary.states == states == sum(distribution.values())
+
+
+def test_tally_leaves_no_cyclic_garbage(tournament7):
+    """The memo must go with the call, not wait for a collection."""
+    digraph, decomposition = tournament7
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_relative_embeddings(digraph, decomposition)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_certify_a_reduced_tournament(tournament7):

@@ -1,5 +1,6 @@
 """The reduction machine: case dispatch, traces, and entry points."""
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from eulergenus import (
     NoProgressError,
     OrientedDirectedEmbedding,
     UndirectedGraph,
+    certify_maximal,
     embed_from_decomposition,
     euler_circuit,
     euler_genus,
@@ -25,6 +27,7 @@ from eulergenus import (
     gen_random_dense_eulerian,
     gen_rotational_tournament,
     gen_sts,
+    iter_relative_embeddings,
     merge_three_at_vertex,
     reduce_embedding,
     reduce_to_upper_embedding,
@@ -506,6 +509,22 @@ def test_a_failed_two_cut_splice_raises(monkeypatch):
     decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1], [2], [3]])
     with pytest.raises(EmbeddingError, match="parity: forced failure"):
         small_order_embedding(digraph, decomposition)
+
+
+def test_best_effort_reduces_every_two_vertex_start():
+    """One arc each way and one to three loops at each end: nine digraphs,
+    81 starting embeddings, every one reduced to the oracle minimum."""
+    starts = 0
+    for near, far in itertools.product((1, 2, 3), repeat=2):
+        digraph = Digraph(2, [(0, 1), (1, 0)] + [(0, 0)] * near + [(1, 1)] * far)
+        decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+        for start in iter_relative_embeddings(digraph, decomposition):
+            emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT)
+            assert verify_embedding(emb, decomposition).ok
+            assert trace.validate() == []
+            assert certify_maximal(emb, digraph, decomposition).passed
+            starts += 1
+    assert starts == 81
 
 
 def test_reduce_dispatches_small_orders(double_digon):

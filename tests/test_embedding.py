@@ -58,6 +58,38 @@ def test_alternation_positions_exist_for_interlaced_visits():
     assert face.corners[p2] == 1 and face.corners[p4] == 1
 
 
+def _walk_through(corners):
+    """A face whose j-th corner is ``corners[j]``: arc j runs from the
+    previous corner to this one, and the walk takes the arcs in order."""
+    arcs = [(corners[j - 1], corners[j]) for j in range(len(corners))]
+    digraph = Digraph(max(corners) + 1, arcs)
+    return FaceWalk(digraph, tuple(2 * a for a in range(len(arcs))), "anti")
+
+
+def test_alternation_positions_count_a_loop_run_once():
+    # arc 1 is a loop at 0, so the face passes 0 twice in a row: the runs
+    # are 0 at {0, 1}, 1 at {2}, 0 at {3}, 1 at {4}
+    face = _walk_through((0, 0, 1, 0, 1))
+    assert face.corners == (0, 0, 1, 0, 1)
+    assert face.alternation_positions(0, 1) == (0, 2, 3, 4)
+    assert face.alternation_positions(1, 0) == (2, 3, 4, 0)
+    # the same visits without the second run of 1 do not interlace
+    assert _walk_through((0, 0, 1, 0)).alternation_positions(0, 1) is None
+
+
+def test_alternation_positions_join_a_run_across_the_walk_end():
+    # arc 0 is a loop at 1, so the run of 1 at {5, 0} wraps round the end;
+    # it counts once, by its position 0, and four runs remain
+    face = _walk_through((1, 2, 0, 1, 0, 1))
+    assert face.corners == (1, 2, 0, 1, 0, 1)
+    assert face.alternation_positions(0, 1) == (2, 3, 4, 0)
+    assert face.alternation_positions(1, 0) == (0, 2, 3, 4)
+    # five runs whose last joins the first leave four
+    assert _walk_through((1, 0, 1, 0, 1)).alternation_positions(0, 1) == (1, 2, 3, 0)
+    # 1 at {3, 0} and 0 at {1} are only two runs
+    assert _walk_through((1, 0, 2, 1)).alternation_positions(0, 1) is None
+
+
 def test_alternation_positions_absent_for_single_visits(double_digon):
     digraph, decomposition = double_digon
     emb = nth_state(digraph, decomposition, 0)

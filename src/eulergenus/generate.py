@@ -1,7 +1,10 @@
-"""Instance generators: dense eulerian digraphs with circuit decompositions.
+"""Instance generators: dense eulerian digraphs and circuit decompositions.
 
-Every generator returns a ``(digraph, decomposition)`` pair ready for the
-reducer, the verifier, or serialization.
+``gen_sts`` returns a ``(digraph, decomposition)`` pair, its directed
+triangles.  The other generators return a digraph alone; pair it with a
+decomposition such as ``CircuitDecomposition(digraph, [euler_circuit(digraph)])``
+before handing it to the reducer or the verifier.  ``split_circuit_at``
+derives a finer decomposition from a given one.
 """
 
 import random

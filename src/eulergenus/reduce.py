@@ -15,6 +15,11 @@ at most two count-preserving blow ups:
 * 3.2.2  a single looped face with several neighbors: blow the looped face
          apart, follow the loop that survives, and merge.
 
+Cases 2.2, 3.1, 3.2.1 and 3.2.2 end in ``_Reducer.blow_then_merge``: blow
+a face pair apart, merge at a vertex now on three antifaces if there is one
+(``blow`` retries case 1), else merge a big face with two moderate ones
+(``check_big_moderate``).  ``merge_cert`` fails a case that has no certificate.
+
 Strict mode demands order at least 7 and the density flag up front and the
 guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors.
@@ -270,7 +275,10 @@ class _Reducer:
                 raise EmbeddingError(report.summary())
             self.core.embedding()
 
-    def merge_cert(self, cert, case):
+    def merge_cert(self, cert, case, failure):
+        """Merge along ``cert``; with none, fail the case with ``failure``."""
+        if cert is None:
+            self.fail(f"case {case}: {failure}")
         before = self.count()
         result = merge_interlaced(
             self.emb, cert.face, cert.face_x, cert.face_y, cert.x, cert.y
@@ -279,6 +287,8 @@ class _Reducer:
         self.record(case, "merge_interlaced", {"x": cert.x, "y": cert.y}, before)
 
     def blow(self, split_key, partner_key, case):
+        """Blow ``split_key``'s face apart against ``partner_key``'s and retry
+        case 1: None after a case-1 merge, else the two faces left."""
         split = self.emb.antiface(split_key)
         partner = self.emb.antiface(partner_key)
         shared = sorted(split.vertex_set() & partner.vertex_set())
@@ -288,9 +298,31 @@ class _Reducer:
         result = blow_up(self.emb, split, partner, shared[0])
         self.adopt(result.embedding)
         self.record(case, "blow_up", {"x": shared[0], "branch": result.branch}, before)
+        if self.merge_reducible_vertex():
+            return None
         if result.changed:
             return result.kept, result.merged
         return split, partner
+
+    def blow_then_merge(self, case, split_key, partner_key, big=None, keep=None,
+                        failure="size hypotheses fail after the blow up"):
+        """Blow up, then merge as case 1 or as a big face with two moderate
+        ones: ``big`` with the two blown faces, else the blown face with the
+        most loop vertices (ties to the lower key) with ``keep`` and its
+        sibling.  With no loop after the blow up the next step decides."""
+        blown = self.blow(split_key, partner_key, case)
+        if blown is None:
+            return
+        moderate = blown
+        if big is None:
+            touch, shape = self.shape_after_blow_up(blown)
+            if not shape.loop_nodes:
+                return
+            big_key = min(shape.loop_nodes, key=lambda key: (-len(touch.loop_vertices(key)), key))
+            big = self.emb.antiface(big_key)
+            moderate = keep, blown[0] if big_key == blown[1].key else blown[1]
+        cert = check_big_moderate(self.emb, big, *moderate)
+        self.merge_cert(cert, case, failure)
 
     def shape_after_blow_up(self, blown):
         """Touch graph and shape after a blow up of ``blown``."""
@@ -368,9 +400,7 @@ class _Reducer:
         else:
             label = "2.1.4"
             cert = check_three_neighbor_corollary(self.emb, first)
-        if cert is None:
-            self.fail(f"case {label}: applicability check failed")
-        self.merge_cert(cert, label)
+        self.merge_cert(cert, label, "applicability check failed")
 
     def bipartite_core_route(self, touch, big, partner):
         """Case 2.1.3 with k >= 1: candidates from a dense bipartite core
@@ -403,29 +433,13 @@ class _Reducer:
         pool = touch.two_face_vertices(center_key)
         if len(pool) - partner_overlap >= k + 3:
             cert = check_three_neighbor_corollary(self.emb, center)
-            if cert is None:
-                self.fail("case 2.2: margin route inapplicable despite the margin")
-            self.merge_cert(cert, "2.2")
+            self.merge_cert(cert, "2.2", "margin route inapplicable despite the margin")
             return
         third_key = next(
             key for key in touch.nodes if key not in (center_key, partner_key)
         )
-        partner = self.emb.antiface(partner_key)
-        new1, new2 = self.blow(center_key, third_key, "2.2")
-        if self.merge_reducible_vertex():
-            return
-        touch2, shape2 = self.shape_after_blow_up((new1, new2))
-        if not shape2.loop_nodes:
-            return  # the next iteration lands in a merging case
-        looped_key = min(
-            shape2.loop_nodes,
-            key=lambda key: (-len(touch2.loop_vertices(key)), key),
-        )
-        other = new1 if looped_key == new2.key else new2
-        cert = check_big_moderate(self.emb, self.emb.antiface(looped_key), partner, other)
-        if cert is None:
-            self.fail("case 2.2: size hypotheses fail after the blow up")
-        self.merge_cert(cert, "2.2")
+        self.blow_then_merge("2.2", center_key, third_key,
+                             keep=self.emb.antiface(partner_key))
 
     def case_two_looped(self, touch, shape):
         triple = None
@@ -443,14 +457,8 @@ class _Reducer:
         if triple is None:
             self.fail("case 3.1: no blow-up triple among the looped faces")
         loop_key, partner_key, anchor_key = triple
-        anchor = self.emb.antiface(anchor_key)
-        new1, new2 = self.blow(loop_key, partner_key, "3.1")
-        if self.merge_reducible_vertex():
-            return
-        cert = check_big_moderate(self.emb, anchor, new1, new2)
-        if cert is None:
-            self.fail("case 3.1: size hypotheses fail after the blow up")
-        self.merge_cert(cert, "3.1")
+        self.blow_then_merge("3.1", loop_key, partner_key,
+                             big=self.emb.antiface(anchor_key))
 
     def case_one_loop_one_neighbor(self, touch, loop_key):
         partner_key = touch.neighbors(loop_key)[0]
@@ -460,46 +468,26 @@ class _Reducer:
         ]
         if not candidates:
             self.fail("case 3.2.1: no third face adjacent to the neighbor")
-        loop = self.emb.antiface(loop_key)
-        new1, new2 = self.blow(partner_key, candidates[0], "3.2.1")
-        if self.merge_reducible_vertex():
-            return
-        cert = check_big_moderate(self.emb, loop, new1, new2)
-        if cert is None:
-            self.fail("case 3.2.1: size hypotheses fail after the blow up")
-        self.merge_cert(cert, "3.2.1")
+        self.blow_then_merge("3.2.1", partner_key, candidates[0],
+                             big=self.emb.antiface(loop_key))
 
     def case_one_loop_many_neighbors(self, touch, loop_key):
         partner_key = touch.neighbors(loop_key)[0]
-        new1, new2 = self.blow(loop_key, partner_key, "3.2.2")
-        if self.merge_reducible_vertex():
+        blown = self.blow(loop_key, partner_key, "3.2.2")
+        if blown is None:
             return
-        touch2, shape2 = self.shape_after_blow_up((new1, new2))
+        touch2, shape2 = self.shape_after_blow_up(blown)
         if len(shape2.loop_nodes) != 1:
             return  # no loops or two loops: an earlier case handles it next
         looped_key = shape2.loop_nodes[0]
-        sibling = new1 if looped_key == new2.key else new2
+        sibling = blown[0] if looped_key == blown[1].key else blown[1]
         neighbors = touch2.neighbors(looped_key)
         if len(neighbors) < 2:
             return  # single-neighbor state: handled next iteration
-        candidates = [key for key in neighbors if key != sibling.key]
-        if not candidates:
-            return
-        next1, next2 = self.blow(looped_key, candidates[0], "3.2.2")
-        if self.merge_reducible_vertex():
-            return
-        touch3, shape3 = self.shape_after_blow_up((next1, next2))
-        if not shape3.loop_nodes:
-            return
-        final_key = min(
-            shape3.loop_nodes,
-            key=lambda key: (-len(touch3.loop_vertices(key)), key),
-        )
-        other = next1 if final_key == next2.key else next2
-        cert = check_big_moderate(self.emb, self.emb.antiface(final_key), sibling, other)
-        if cert is None:
-            self.fail("case 3.2.2: size hypotheses fail after the blow ups")
-        self.merge_cert(cert, "3.2.2")
+        # neighbors are distinct keys, so one of the two is not the sibling
+        split_partner = next(key for key in neighbors if key != sibling.key)
+        self.blow_then_merge("3.2.2", looped_key, split_partner, keep=sibling,
+                             failure="size hypotheses fail after the blow ups")
 
 
 def _check_input(digraph, decomposition, mode):
@@ -606,11 +594,11 @@ def _small_order(embedding, decomposition, validate_steps):
             )
         u = min(single[0].vertex_set())
         w = min(single[1].vertex_set())
-        before = 3
+        before = reducer.count()
         result = merge_interlaced(emb, spanning[0], single[0], single[1], u, w)
-        emb = result.embedding
-        trace.record("small-a", "merge_interlaced", {"x": u, "y": w},
-                     before, len(emb.antifaces))
+        reducer.adopt(result.embedding)
+        reducer.record("small-a", "merge_interlaced", {"x": u, "y": w}, before)
+        emb = reducer.emb
     if len(emb.antifaces) > 2:
         raise EmbeddingError(f"small-order reduction left {len(emb.antifaces)} antifaces")
     return emb, trace

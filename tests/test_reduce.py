@@ -527,6 +527,31 @@ def test_best_effort_reduces_every_two_vertex_start():
     assert starts == 81
 
 
+def test_validate_steps_checks_the_small_order_path_merge(monkeypatch):
+    """The interlaced merge that closes the two-vertex path configuration
+    is verified like every other step."""
+    from eulergenus import reduce as reduce_module
+
+    digraph = Digraph(2, [(0, 1), (1, 0), (0, 1), (1, 0), (0, 0), (1, 1)])
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    start = list(iter_relative_embeddings(digraph, decomposition))[3]
+    emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT, validate_steps=True)
+    assert [(s.case, s.count_before, s.count_after) for s in trace.steps] == [("small-a", 3, 1)]
+    real_merge = reduce_module.merge_interlaced
+
+    def corrupting_merge(*args):
+        result = real_merge(*args)
+        (g0, h0), (g1, h1), *rest = result.embedding.blocks_at(0)
+        # re-pair two blocks: profaces change
+        result.embedding = result.embedding.with_rotation(
+            0, flat_rotation([(g1, h0), (g0, h1), *rest]))
+        return result
+
+    monkeypatch.setattr(reduce_module, "merge_interlaced", corrupting_merge)
+    with pytest.raises(EmbeddingError, match="profaces-match"):
+        reduce_embedding(start, decomposition, BEST_EFFORT, validate_steps=True)
+
+
 def test_reduce_dispatches_small_orders(double_digon):
     digraph, decomposition = double_digon
     emb, trace = reduce_to_upper_embedding(digraph, decomposition, mode=BEST_EFFORT)

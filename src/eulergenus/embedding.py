@@ -28,11 +28,12 @@ postconditions are checked against faces that owe nothing to its
 parent's.
 
 The full tracer walks ``successors``: one step of a face from outgoing
-half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and each
-face's corners are read from a per-half-arc head list.  A face's set of
-walk arcs is built only when first asked for (``FaceWalk.walk_set``), so
-that "does this face hold arc g" costs O(1) for the few faces a surgery
-touches while untouched faces never pay for it.
+half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and a
+traced face holds only its walk.  Its corners, its vertex set and its set
+of walk arcs (``FaceWalk.walk_set``) are built from the walk when first
+asked for: the touch graph reads the antifaces' vertex sets, and "does
+this face hold arc g" costs O(1) for the few faces a surgery touches,
+while profaces and untouched faces pay for none of them.
 """
 
 from itertools import chain
@@ -45,29 +46,17 @@ class FaceWalk:
     """Closed face boundary, stored as outgoing half-arc ids in canonical rotation.
 
     ``corners[j]`` is the vertex the face passes between arriving on arc
-    ``walk[j]`` and departing on ``walk[j + 1]``.
+    ``walk[j]`` and departing on ``walk[j + 1]``.  The corners, the vertex
+    set and the walk's arc set are built from the walk when first read.
     """
 
-    __slots__ = ("walk", "color", "corners", "_vset", "_walk_set")
+    __slots__ = ("digraph", "walk", "color", "_corners", "_vset", "_walk_set")
 
     def __init__(self, digraph, walk, color):
-        self.walk = walk = least_first(tuple(walk))
+        self.digraph = digraph
+        self.walk = least_first(tuple(walk))
         self.color = color
-        self.corners = tuple(digraph.head(h >> 1) for h in walk)
-        self._vset = frozenset(self.corners)
-        self._walk_set = None
-
-    @classmethod
-    def _joined(cls, walk, corners, color):
-        """Face from a closed walk that starts at its least half-arc, and
-        its corners."""
-        face = cls.__new__(cls)
-        face.walk = walk
-        face.color = color
-        face.corners = corners
-        face._vset = frozenset(corners)
-        face._walk_set = None
-        return face
+        self._corners = self._vset = self._walk_set = None
 
     @property
     def key(self):
@@ -93,11 +82,22 @@ class FaceWalk:
             arcs = self._walk_set = frozenset(self.walk)
         return arcs
 
+    @property
+    def corners(self):
+        corners = self._corners
+        if corners is None:
+            arcs = self.digraph.arcs
+            corners = self._corners = tuple([arcs[h >> 1][1] for h in self.walk])
+        return corners
+
     def vertex_set(self):
-        return self._vset
+        vset = self._vset
+        if vset is None:
+            vset = self._vset = frozenset(self.corners)
+        return vset
 
     def visits(self, v):
-        return v in self._vset
+        return v in self.vertex_set()
 
     def corner_positions(self, v):
         return tuple(j for j, c in enumerate(self.corners) if c == v)
@@ -114,8 +114,7 @@ class FaceWalk:
         each of four consecutive label blocks is returned, starting at an
         x block.
         """
-        labeled = [(j, self.corners[j]) for j in range(len(self.corners))
-                   if self.corners[j] == x or self.corners[j] == y]
+        labeled = [(j, c) for j, c in enumerate(self.corners) if c == x or c == y]
         if not labeled:
             return None
         blocks = []
@@ -187,10 +186,9 @@ class OrientedDirectedEmbedding:
     def _trace(self):
         if self._faces is not None:
             return self._faces
-        m = self.digraph.m
+        digraph = self.digraph
+        m = digraph.m
         size = 2 * m
-        # both halves of an arc map to its head, the corner after the arc
-        corner = [head for _, head in self.digraph.arcs for _ in (0, 1)]
         families = []
         for color in ("pro", "anti"):
             leave = successors(self.halves, m, color)
@@ -207,9 +205,7 @@ class OrientedDirectedEmbedding:
                     h = leave[h >> 1]
                 if h != h0:
                     raise EmbeddingError("face tracing did not close an orbit")
-                faces.append(FaceWalk._joined(
-                    tuple(orbit), tuple(map(corner.__getitem__, orbit)), color
-                ))
+                faces.append(FaceWalk(digraph, orbit, color))
             # each orbit starts at its least arc and orbits are found in
             # ascending order of it, so the faces are already sorted by walk
             families.append(tuple(faces))
@@ -234,7 +230,7 @@ class OrientedDirectedEmbedding:
             for face in self.antifaces:
                 key = face.walk[0]
                 faces[key] = face
-                for v in face._vset:
+                for v in face.vertex_set():
                     membership.setdefault(v, []).append(key)
             index = self._antiface_index = (
                 faces, {v: tuple(keys) for v, keys in membership.items()}

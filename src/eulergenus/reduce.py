@@ -148,15 +148,14 @@ class _AntifaceCore:
     ``current`` is the embedding the reducer stands on, and ``parent`` a
     union-find over arc ids: an arc's orbit is its antiface, and each root
     is its orbit's least arc, so ``2 * root`` is the face key and a union is
-    a min.  ``crowded`` lists, highest first, the vertices that were on
-    three or more orbits when the core was loaded; merges only union
-    orbits, so no vertex joins it later, and its lowest vertex is
-    re-checked and popped until one still qualifies.  A merge replaces
-    ``current`` by a ``with_rotation`` child, whose faces are traced only
-    when read; ``checked`` is set once ``embedding()`` has checked it.
+    a min.  ``count`` is the number of orbits.  Merges only union orbits, so
+    a vertex on fewer than three orbits stays so until the next load: every
+    vertex below ``cursor`` is known to be.  A merge replaces ``current`` by
+    a ``with_rotation`` child, whose faces are traced only when read;
+    ``checked`` is set once ``embedding()`` has checked it.
     """
 
-    __slots__ = ("digraph", "current", "checked", "parent", "roots", "crowded")
+    __slots__ = ("digraph", "current", "checked", "parent", "count", "cursor")
 
     def __init__(self, embedding):
         self.digraph = embedding.digraph
@@ -164,11 +163,14 @@ class _AntifaceCore:
 
     def load(self, embedding):
         """Stand on ``embedding`` and read its antiface orbits."""
-        digraph = self.digraph
-        m = digraph.m
+        m = self.digraph.m
         leave = successors(embedding.halves, m, "anti")
         parent = [-1] * m
+        count = 0
         for root in range(m):
+            if parent[root] >= 0:
+                continue
+            count += 1
             a = root
             while parent[a] < 0:
                 parent[a] = root
@@ -176,14 +178,8 @@ class _AntifaceCore:
         self.current = embedding
         self.checked = False
         self.parent = parent
-        self.roots = {a for a in range(m) if parent[a] == a}
-        self.crowded = [
-            v for v in reversed(range(digraph.n))
-            if len({parent[h >> 1] for h in digraph.in_half_arcs(v)}) > 2
-        ]
-
-    def count(self):
-        return len(self.roots)
+        self.count = count
+        self.cursor = 0
 
     def find(self, a):
         parent = self.parent
@@ -191,40 +187,34 @@ class _AntifaceCore:
             parent[a] = a = parent[parent[a]]
         return a
 
-    def lowest_crowded(self):
-        """The lowest vertex on three or more antifaces and the roots of its
-        three least, or None; as ``find_vertex_on_three_antifaces``."""
-        crowded = self.crowded
-        while crowded:
-            v = crowded[-1]
-            roots = sorted({self.find(h >> 1) for h in self.digraph.in_half_arcs(v)})
-            if len(roots) > 2:
-                return v, roots[:3]
-            crowded.pop()
-        return None
-
-    def merge(self, v, roots):
-        """Merge the antifaces with the three given roots at v, as
-        ``merge_three_at_vertex``: each arrives on its lowest incoming half
-        at v, ``_rewire_three`` re-pairs those arrivals, and the three
-        orbits become one."""
-        if len(set(roots)) != 3:
-            raise EmbeddingError("the three antifaces must be distinct")
-        arrival = {}
-        for h in self.digraph.in_half_arcs(v):
-            root = self.find(h >> 1)
-            if root in roots and root not in arrival:
-                arrival[root] = h
-        if len(arrival) != 3:
-            raise EmbeddingError(f"the three antifaces do not all visit vertex {v}")
-        self.current = _rewire_three(self.current, v, *arrival.values())
+    def merge_lowest(self):
+        """Merge at the lowest vertex on three or more antifaces, as
+        ``find_vertex_on_three_antifaces`` and ``merge_three_at_vertex``
+        would: its three least roots, each arriving on its lowest incoming
+        half there, are re-paired by ``_rewire_three`` and their orbits
+        become one.  Returns the vertex, or None when there is none."""
+        digraph = self.digraph
+        find = self.find
+        for v in range(self.cursor, digraph.n):
+            arrival = {}
+            for h in digraph.in_half_arcs(v):
+                root = find(h >> 1)
+                if root not in arrival:
+                    arrival[root] = h
+            if len(arrival) > 2:
+                break
+        else:
+            self.cursor = digraph.n
+            return None
+        self.cursor = v
+        low, mid, high = sorted(arrival)[:3]
+        self.current = _rewire_three(self.current, v, arrival[low], arrival[mid],
+                                     arrival[high])
         self.checked = False
         # successors 3-cycled over three distinct orbits join them into one
-        low = min(roots)
-        for root in roots:
-            self.parent[root] = low
-        self.roots.difference_update(roots)
-        self.roots.add(low)
+        self.parent[mid] = self.parent[high] = low
+        self.count -= 2
+        return v
 
     def embedding(self):
         """The current embedding; its first read checks that its antifaces
@@ -232,10 +222,12 @@ class _AntifaceCore:
         embedding = self.current
         if not self.checked:
             keys = [face.key for face in embedding.antifaces]
-            if keys != sorted(2 * root for root in self.roots):
+            parent = self.parent
+            if (len(keys) != self.count
+                    or keys != [2 * a for a in range(len(parent)) if parent[a] == a]):
                 raise EmbeddingError(
                     f"the embedding's {len(keys)} antifaces are not the core's "
-                    f"{len(self.roots)} orbits"
+                    f"{self.count} orbits"
                 )
             self.checked = True
         return embedding
@@ -260,7 +252,7 @@ class _Reducer:
             self.core.load(embedding)
 
     def count(self):
-        return self.core.count()
+        return self.core.count
 
     def fail(self, message):
         raise NoProgressError(message, self.trace)
@@ -335,12 +327,11 @@ class _Reducer:
 
     def merge_reducible_vertex(self):
         """Case-1 merge on the core; True when one was available and applied."""
-        hit = self.core.lowest_crowded()
-        if hit is None:
-            return False
         before = self.count()
-        self.core.merge(*hit)
-        self.record("1", "merge_three_at_vertex", {"vertex": hit[0]}, before)
+        v = self.core.merge_lowest()
+        if v is None:
+            return False
+        self.record("1", "merge_three_at_vertex", {"vertex": v}, before)
         return True
 
     def run(self):

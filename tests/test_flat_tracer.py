@@ -118,6 +118,22 @@ def test_flat_tracer_equals_the_reference_orbit_walk(graph_index, seed):
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(GRAPHS))), st.integers(0, 2**32 - 1))
+def test_traced_corners_are_the_heads_of_the_walk(graph_index, seed):
+    """A face builds its corners and vertex set on first read; either may
+    be read first, and both come from the heads of the walk's arcs."""
+    digraph = GRAPHS[graph_index]
+    emb = OrientedDirectedEmbedding(digraph, _random_rotations(digraph, random.Random(seed)))
+    for faces in emb._trace():
+        for i, face in enumerate(faces):
+            heads = tuple(digraph.head(h >> 1) for h in face.walk)
+            if i % 2:
+                assert face.vertex_set() == frozenset(heads)
+            assert face.corners == heads
+            assert face.vertex_set() == frozenset(heads)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(GRAPHS + (UNBALANCED,)),
     st.integers(0, 2**32 - 1),

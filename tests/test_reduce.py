@@ -243,39 +243,49 @@ def test_dead_end_safety_bound_exemplar(circ11):
 def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
     """The per-step check is an exception, not an assert, so ``-O`` keeps it."""
     digraph, decomposition = tournament7
-    real_merge = _AntifaceCore.merge
+    real_merge = _AntifaceCore.merge_lowest
 
-    def corrupting_merge(core, v, roots):
-        real_merge(core, v, roots)
-        (g0, h0), (g1, h1), *rest = core.current.blocks_at(0)
-        # re-pair two blocks: profaces change
-        core.current = core.current.with_rotation(
-            0, flat_rotation([(g1, h0), (g0, h1), *rest]))
+    def corrupting_merge(core):
+        v = real_merge(core)
+        if v is not None:
+            (g0, h0), (g1, h1), *rest = core.current.blocks_at(0)
+            # re-pair two blocks: profaces change
+            core.current = core.current.with_rotation(
+                0, flat_rotation([(g1, h0), (g0, h1), *rest]))
+        return v
 
-    monkeypatch.setattr(_AntifaceCore, "merge", corrupting_merge)
+    monkeypatch.setattr(_AntifaceCore, "merge_lowest", corrupting_merge)
     emb = nth_state(digraph, decomposition, 0)
     with pytest.raises(EmbeddingError, match="profaces-match"):
         reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=True)
 
 
 @pytest.mark.parametrize("validate_steps", [False, True])
-@pytest.mark.parametrize("corruption", ["unmerged", "wrong-root"])
+@pytest.mark.parametrize("corruption", ["unmerged", "wrong-root", "miscounted"])
 def test_a_core_that_disagrees_with_its_embedding_raises(
         tournament7, monkeypatch, corruption, validate_steps):
     """A built embedding must have exactly the core's orbits as antifaces;
     the check is an exception, so ``-O`` keeps it."""
     digraph, decomposition = tournament7
-    real_merge = _AntifaceCore.merge
+    real_merge = _AntifaceCore.merge_lowest
 
-    def corrupting_merge(core, v, roots):
-        real_merge(core, v, roots)
+    def corrupting_merge(core):
+        before = list(core.parent)
+        v = real_merge(core)
+        if v is None:
+            return v
+        parent = core.parent
+        mid, high = (a for a in range(len(parent)) if before[a] == a != parent[a])
+        low = parent[mid]
         if corruption == "unmerged":
-            core.roots.update(roots)  # the core still counts three faces
+            parent[mid], parent[high] = mid, high  # three orbits, right count
+        elif corruption == "wrong-root":
+            parent[low] = parent[mid] = parent[high] = high  # right count, wrong key
         else:
-            core.roots.discard(min(roots))  # right count, wrong key
-            core.roots.add(max(roots))
+            core.count += 2  # the core still counts three faces
+        return v
 
-    monkeypatch.setattr(_AntifaceCore, "merge", corrupting_merge)
+    monkeypatch.setattr(_AntifaceCore, "merge_lowest", corrupting_merge)
     emb = nth_state(digraph, decomposition, 0)  # one case-1 merge, 3 -> 1
     with pytest.raises(EmbeddingError, match="antifaces are not the core's"):
         reduce_embedding(emb, decomposition, mode=STRICT, validate_steps=validate_steps)
@@ -317,21 +327,21 @@ def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
     unbuilt = _AntifaceCore(emb)
     while True:
         want = find_vertex_on_three_antifaces(emb)
-        hit = stepped.lowest_crowded()
-        assert unbuilt.lowest_crowded() == hit
+        v = stepped.merge_lowest()
+        assert unbuilt.merge_lowest() == v
         if want is None:
-            assert hit is None
+            assert v is None
             break
-        v, faces = want
-        assert hit == (v, [face.key >> 1 for face in faces])
+        assert v == want[0]
+        faces = want[1]
         emb = merge_three_at_vertex(emb, v, *faces).embedding
-        stepped.merge(*hit)
-        unbuilt.merge(*hit)
+        # the three faces' orbits are now one, rooted at the least of them
+        assert {stepped.find(face.key >> 1) for face in faces} == {faces[0].key >> 1}
         built = stepped.embedding()
         assert built.rotations[v] == emb.rotations[v]
         assert built.rotations == emb.rotations
         assert [f.key for f in built.antifaces] == [f.key for f in emb.antifaces]
-        assert stepped.count() == len(built.antifaces) == len(emb.antifaces)
+        assert stepped.count == len(built.antifaces) == len(emb.antifaces)
     assert unbuilt.embedding().rotations == emb.rotations
 
 

@@ -102,16 +102,16 @@ def _corrupt_derived_faces(monkeypatch, parent, corrupt):
 
 
 def _drop_last_arc(face, parent):
-    return FaceWalk._joined(face.walk[:-1], face.corners[:-1], "anti")
+    return FaceWalk(parent.digraph, face.walk[:-1], "anti")
 
 
 def _repeat_first_arc(face, parent):
-    return FaceWalk._joined(face.walk[:-1] + face.walk[:1], face.corners, "anti")
+    return FaceWalk(parent.digraph, face.walk[:-1] + face.walk[:1], "anti")
 
 
 def _foreign_last_arc(face, parent):
     # an id outside every input face keeps the length and has no repeat
-    return FaceWalk._joined(face.walk[:-1] + (2 * parent.digraph.m,), face.corners, "anti")
+    return FaceWalk(parent.digraph, face.walk[:-1] + (2 * parent.digraph.m,), "anti")
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_arc, _repeat_first_arc, _foreign_last_arc])
@@ -136,9 +136,7 @@ def test_split_swap_rejects_a_corrupted_merged_face(four_loops, monkeypatch):
 
 def _reverse_after_first_arc(face, parent):
     # same least arc and arc set, so only a whole-walk comparison notices
-    walk = face.walk[:1] + face.walk[:0:-1]
-    corners = face.corners[:1] + face.corners[:0:-1]
-    return FaceWalk._joined(walk, corners, "anti")
+    return FaceWalk(parent.digraph, face.walk[:1] + face.walk[:0:-1], "anti")
 
 
 def test_split_swap_rejects_a_reordered_merged_face(four_loops, monkeypatch):

@@ -39,6 +39,11 @@ def _ids(size):
     return _shared_ids
 
 
+# Digraphs on at most 256 vertices share their (tail, head) pairs likewise,
+# from one table of at most 65,536, instead of holding one per arc.
+_shared_pairs = {}
+
+
 def mate(h):
     """Other half of the same arc."""
     return h ^ 1
@@ -82,6 +87,8 @@ class Digraph:
         for a, (t, h) in enumerate(arcs):
             if not (0 <= t < n and 0 <= h < n):
                 raise GraphError(f"arc {a} = ({t}, {h}) has an endpoint outside 0..{n - 1}")
+        if n <= 256:
+            arcs = tuple(map(_shared_pairs.setdefault, arcs, arcs))
         self.n = n
         self.arcs = arcs
         out = [[] for _ in range(n)]

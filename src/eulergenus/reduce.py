@@ -22,16 +22,19 @@ a face pair apart, merge at a vertex now on three antifaces if there is one
 
 Strict mode demands order at least 7 and the density flag up front and the
 guarantees of the case analysis then apply; best-effort mode runs the same
-machine on any eulerian connected input and reports dead ends as errors.
+machine on any eulerian connected input and reports dead ends as errors,
+among them a step that changes nothing and so would only repeat.
 
 Cost model.  On dense inputs nearly every step is case 1, and the merged
 antiface keeps growing, so the reducer does not re-trace faces for case 1.
-A private core holds the current embedding and a union-find over arc ids
-whose roots are the antiface orbits' least arcs, so ``2 * root`` is a face
-key.  A case-1 step re-pairs three blocks at one vertex through
-``surgery._rewire_three``, whose child shares every other rotation and is
-traced only when read, and unions three orbits.  The child copies two
-n-tuples of references, and under the theorem's density bound
+A private core holds the current embedding, its orbit count and a
+union-find over arc ids whose roots are the antiface orbits' least arcs,
+so ``2 * root`` is a face key.  A case-1 step scans in-halves from a
+cursor to the first vertex on three orbits (unions never crowd a vertex,
+so none below the cursor is), re-pairs the lowest arrivals of its three
+least orbits through ``surgery._rewire_three``, whose child shares every
+other rotation and is traced only when read, and unions them.  The child
+copies two n-tuples of references, and under the theorem's density bound
 (deg v >= (4n + 2)/5) that is still O(deg v), so the step costs
 O(deg v · α) whatever the faces' lengths.  Every other step needs the
 touch graph and the surgeries, so it traces the current embedding (O(m)),
@@ -208,8 +211,7 @@ class _AntifaceCore:
             return None
         self.cursor = v
         low, mid, high = sorted(arrival)[:3]
-        self.current = _rewire_three(self.current, v, arrival[low], arrival[mid],
-                                     arrival[high])
+        self.current = _rewire_three(self.current, v, *map(arrival.get, (low, mid, high)))
         self.checked = False
         # successors 3-cycled over three distinct orbits join them into one
         self.parent[mid] = self.parent[high] = low
@@ -222,9 +224,8 @@ class _AntifaceCore:
         embedding = self.current
         if not self.checked:
             keys = [face.key for face in embedding.antifaces]
-            parent = self.parent
-            if (len(keys) != self.count
-                    or keys != [2 * a for a in range(len(parent)) if parent[a] == a]):
+            orbit_keys = [2 * a for a, up in enumerate(self.parent) if up == a]
+            if len(keys) != self.count or keys != orbit_keys:
                 raise EmbeddingError(
                     f"the embedding's {len(keys)} antifaces are not the core's "
                     f"{self.count} orbits"
@@ -251,14 +252,11 @@ class _Reducer:
         if embedding is not self.core.current:
             self.core.load(embedding)
 
-    def count(self):
-        return self.core.count
-
     def fail(self, message):
         raise NoProgressError(message, self.trace)
 
     def record(self, case, operation, witness, count_before):
-        self.trace.record(case, operation, witness, count_before, self.count())
+        self.trace.record(case, operation, witness, count_before, self.core.count)
         if self.validate_steps:
             # verify first: it names the broken property, the core's check
             # only that the core and the embedding disagree
@@ -271,7 +269,7 @@ class _Reducer:
         """Merge along ``cert``; with none, fail the case with ``failure``."""
         if cert is None:
             self.fail(f"case {case}: {failure}")
-        before = self.count()
+        before = self.core.count
         result = merge_interlaced(
             self.emb, cert.face, cert.face_x, cert.face_y, cert.x, cert.y
         )
@@ -286,7 +284,7 @@ class _Reducer:
         shared = sorted(split.vertex_set() & partner.vertex_set())
         if not shared:
             self.fail(f"case {case}: the faces to blow up share no vertex")
-        before = self.count()
+        before = self.core.count
         result = blow_up(self.emb, split, partner, shared[0])
         self.adopt(result.embedding)
         self.record(case, "blow_up", {"x": shared[0], "branch": result.branch}, before)
@@ -327,7 +325,7 @@ class _Reducer:
 
     def merge_reducible_vertex(self):
         """Case-1 merge on the core; True when one was available and applied."""
-        before = self.count()
+        before = self.core.count
         v = self.core.merge_lowest()
         if v is None:
             return False
@@ -335,14 +333,21 @@ class _Reducer:
         return True
 
     def run(self):
-        budget = 8 * max(self.count(), 1)
-        while self.count() > 2:
+        budget = 8 * max(self.core.count, 1)
+        while self.core.count > 2:
             if len(self.trace.steps) >= budget:
                 self.fail(f"exceeded the safety bound of {budget} steps")
+            start, recorded = self.core.current, len(self.trace.steps)
             try:
                 self.step()
             except HypothesisError as exc:
                 raise NoProgressError(f"dead end: {exc}", self.trace) from exc
+            if self.core.current is start:
+                # a step depends only on the embedding, so it would repeat;
+                # the operations it recorded changed nothing and are dropped
+                case = self.trace.steps[recorded].case
+                del self.trace.steps[recorded:]
+                self.fail(f"case {case}: the step left the embedding unchanged")
         return self.emb, self.trace
 
     def step(self):
@@ -513,9 +518,9 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
     dead end.
     """
     _check_input(digraph, decomposition, mode)
-    if digraph.n <= 2:
-        return small_order_embedding(digraph, decomposition)
     embedding = embed_from_decomposition(digraph, decomposition)
+    if digraph.n <= 2:
+        return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
 
 
@@ -585,7 +590,7 @@ def _small_order(embedding, decomposition, validate_steps):
             )
         u = min(single[0].vertex_set())
         w = min(single[1].vertex_set())
-        before = reducer.count()
+        before = reducer.core.count
         result = merge_interlaced(emb, spanning[0], single[0], single[1], u, w)
         reducer.adopt(result.embedding)
         reducer.record("small-a", "merge_interlaced", {"x": u, "y": w}, before)

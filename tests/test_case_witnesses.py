@@ -3,6 +3,8 @@
 Cases 2.2, 3.1 and 3.2.2 blow a face pair apart and then either merge at
 a vertex that now lies on three antifaces (case 1), stop because no loop
 appeared, or try a big-moderate merge that may fail its size hypotheses.
+A step that stops with the embedding unchanged (a no-op blow up and no
+loop) ends the run as a dead end, because the next step would repeat it.
 Each start in ``fixtures/case_witnesses.json`` reaches one of those exits,
 named by its ``case`` and ``exit`` fields.  They are small circulants and
 their circuits and start rotations come from the benchmark's
@@ -31,6 +33,7 @@ from eulergenus import (
     Digraph,
     NoProgressError,
     OrientedDirectedEmbedding,
+    ReductionTrace,
     reduce_embedding,
     verify_embedding,
 )
@@ -70,17 +73,26 @@ def render(witnesses):
 
 
 WITNESSES = load()
+IDS = [f"{w['case']}: {w['exit']}" for w in WITNESSES]
 
 
-@pytest.mark.parametrize(
-    "witness", WITNESSES,
-    ids=[f"{w['case']}: {w['exit']}" for w in WITNESSES],
-)
+@pytest.mark.parametrize("witness", WITNESSES, ids=IDS)
 def test_witness_replays_its_exit(witness):
     got = expected(witness)
     assert got["trace"] == witness["trace"]
     assert got["dead_end"] == witness["dead_end"]
     assert got["rotations"] == witness["rotations"]
+
+
+@pytest.mark.parametrize("witness", WITNESSES, ids=IDS)
+def test_witness_trace_passes_validate(witness):
+    """Dead ends included, no trace holds three count-preserving steps in a
+    row; the replay above ties the fixture's trace to the run's."""
+    trace = ReductionTrace()
+    for row in witness["trace"]:
+        trace.record(row["case"], row["operation"], row["witness"],
+                     row["antifaces_before"], row["antifaces_after"])
+    assert trace.validate() == []
 
 
 if __name__ == "__main__":

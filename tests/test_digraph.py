@@ -188,6 +188,18 @@ def test_digraphs_share_their_id_ints():
     assert arc is next(a for a in second_dec.circuits[0].arc_ids if a == 280)
 
 
+def test_digraphs_on_few_vertices_share_their_arc_pairs():
+    """Up to 256 vertices, equal (tail, head) pairs are one object across
+    digraphs; the arcs read as before."""
+    first = circulant(101, (1, 2, 3))
+    second = circulant(101, (1, 2, 4))
+    assert first.arcs[0] == (0, 1)
+    # both list the jumps of 1 and 2 first
+    assert all(a is b for a, b in zip(first.arcs[:202], second.arcs[:202]))
+    big = [circulant(257, (1, 2, 3)) for _ in range(2)]
+    assert big[0].arcs == big[1].arcs and big[0].arcs[0] is not big[1].arcs[0]
+
+
 def test_decomposition_successor_maps_incoming_to_next_outgoing():
     dg = Digraph(2, [(0, 1), (1, 0), (0, 0)])
     dec = CircuitDecomposition.from_arc_lists(dg, [[0, 1], [2]])

@@ -38,7 +38,7 @@ from eulergenus import (
     verify_embedding,
 )
 from eulergenus.embedding import flat_rotation
-from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore
+from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore, _Reducer
 from eulergenus.surgery import _rewire_three
 
 from conftest import circulant, nth_state
@@ -229,15 +229,69 @@ def test_dead_end_size_hypotheses_exemplar(circ11):
     assert [s.case for s in err.value.trace.steps] == ["3.2.2", "3.2.2"]
 
 
-def test_dead_end_safety_bound_exemplar(circ11):
+def test_dead_end_no_progress_exemplar(circ11, monkeypatch):
+    """Case 2.2's blow up is a no-op and no loop appears, so the next step
+    would repeat this one: the run ends at once, and the operations of the
+    step that changed nothing are not kept."""
+    from eulergenus import reduce as reduce_module
+
     digraph, decomposition = circ11
     emb = nth_state(digraph, decomposition, 1369)
+    blown = []
+    real_blow_up = reduce_module.blow_up
+
+    def counting_blow_up(*args):
+        result = real_blow_up(*args)
+        blown.append(result.branch)
+        return result
+
+    monkeypatch.setattr(reduce_module, "blow_up", counting_blow_up)
+    with pytest.raises(NoProgressError) as err:
+        reduce_embedding(emb, decomposition)
+    assert str(err.value) == "case 2.2: the step left the embedding unchanged"
+    assert blown == ["no-op"]
+    assert err.value.trace.steps == []
+
+
+def test_the_safety_bound_stops_a_run_that_keeps_changing(circ11, monkeypatch):
+    """Steps that change the embedding but never the count run into the
+    step budget, eight steps per antiface at the start."""
+    digraph, decomposition = circ11
+    emb = nth_state(digraph, decomposition, 1369)
+
+    def idle_step(reducer):
+        before = reducer.core.count
+        current = reducer.core.current
+        reducer.adopt(current.with_rotation(0, current.rotations[0]))
+        reducer.record("2.2", "blow_up", {"x": 0, "branch": "no-op"}, before)
+
+    monkeypatch.setattr(_Reducer, "step", idle_step)
     with pytest.raises(NoProgressError) as err:
         reduce_embedding(emb, decomposition)
     assert str(err.value) == "exceeded the safety bound of 24 steps"
-    steps = err.value.trace.steps
-    assert len(steps) == 24
-    assert all(s.case == "2.2" for s in steps)
+    assert len(err.value.trace.steps) == 24
+
+
+def test_validate_steps_reaches_the_small_order_route(monkeypatch):
+    """``reduce_to_upper_embedding`` on two vertices verifies every step
+    when asked to, as the general route does."""
+    from eulergenus import reduce as reduce_module
+
+    digraph = Digraph(2, [(0, 1), (1, 0)] * 3)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    verified = []
+    real_verify = reduce_module.verify_embedding
+
+    def counting_verify(*args):
+        verified.append(args[0])
+        return real_verify(*args)
+
+    monkeypatch.setattr(reduce_module, "verify_embedding", counting_verify)
+    emb, trace = reduce_to_upper_embedding(digraph, decomposition, mode=BEST_EFFORT,
+                                           validate_steps=True)
+    assert len(trace.steps) >= 1
+    assert len(verified) == len(trace.steps)
+    assert verified[-1] is emb
 
 
 def test_validate_steps_raises_on_a_corrupted_step(tournament7, monkeypatch):
@@ -343,6 +397,19 @@ def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
         assert [f.key for f in built.antifaces] == [f.key for f in emb.antifaces]
         assert stepped.count == len(built.antifaces) == len(emb.antifaces)
     assert unbuilt.embedding().rotations == emb.rotations
+
+
+def test_the_core_merges_again_at_a_vertex_that_stays_crowded():
+    """A merge takes two orbits off its vertex, so a vertex on five is
+    merged twice before the scan moves past it."""
+    digraph = Digraph(1, [(0, 0)] * 5)
+    decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1, 2, 3, 4]])
+    (start,) = [emb for emb in iter_relative_embeddings(digraph, decomposition)
+                if len(emb.antifaces) == 5]
+    core = _AntifaceCore(start)
+    assert [core.merge_lowest() for _ in range(3)] == [0, 0, None]
+    assert core.count == 1
+    assert len(core.embedding().antifaces) == 1
 
 
 @settings(max_examples=60, deadline=None)

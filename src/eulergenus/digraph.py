@@ -266,13 +266,13 @@ class CircuitDecomposition:
             raise GraphError(f"arcs not covered by any circuit: {missing[:8]}")
         self.digraph = digraph
         self.circuits = circuits
-        # forward map: the incoming half of each arc to the outgoing half of
-        # the next arc on its circuit; a per-vertex bijection by construction
+        # forward map by half-arc: slot 2a + 1 holds the outgoing half of the
+        # arc after a on its circuit (even slots are None); a per-vertex bijection
         ids = _ids(2 * digraph.m)
-        self.fw = {
-            ids[2 * a + 1]: ids[2 * b]
-            for c in circuits for a, b in zip(c.arc_ids, c.arc_ids[1:] + c.arc_ids[:1])
-        }
+        self.fw = fw = [None] * (2 * digraph.m)
+        for c in circuits:
+            for a, b in zip(c.arc_ids, c.arc_ids[1:] + c.arc_ids[:1]):
+                fw[2 * a + 1] = ids[2 * b]
 
     def __len__(self):
         return len(self.circuits)
@@ -538,7 +538,15 @@ def eulerian_orientation(graph, walks):
     the oriented Digraph (arc id = edge id, directed as traversed) plus the
     walks as a CircuitDecomposition of it.
     """
-    used = [False] * graph.m
+    digraph, circuits_arcs = _orient(graph, walks)
+    return digraph, CircuitDecomposition.from_arc_lists(digraph, circuits_arcs)
+
+
+def _orient(graph, walks):
+    """``eulerian_orientation``'s digraph, with its circuits as arc lists."""
+    unused = {}  # per unordered vertex pair, its edges no walk took yet, lowest first
+    for e, (u, v) in enumerate(graph.edges):
+        unused.setdefault((u, v) if u < v else (v, u), deque()).append(e)
     direction = [None] * graph.m
     circuits_arcs = []
     for w_index, walk in enumerate(walks):
@@ -546,22 +554,16 @@ def eulerian_orientation(graph, walks):
             raise GraphError(f"walk {w_index} is not closed")
         seq = []
         for u, v in zip(walk, walk[1:]):
-            choice = None
-            for e in graph.incident_edges(u):
-                if not used[e] and graph.other_end(e, u) == v:
-                    choice = e
-                    break
-            if choice is None:
+            edges = unused.get((u, v) if u < v else (v, u))
+            if not edges:
                 raise GraphError(
                     f"walk {w_index} needs an unused edge between {u} and {v}, none left"
                 )
-            used[choice] = True
-            direction[choice] = (u, v)
-            seq.append(choice)
+            e = edges.popleft()
+            direction[e] = (u, v)
+            seq.append(e)
         circuits_arcs.append(seq)
-    if not all(used):
-        missing = [e for e in range(graph.m) if not used[e]]
+    if None in direction:
+        missing = [e for e in range(graph.m) if direction[e] is None]
         raise GraphError(f"edges not covered by any walk: {missing[:8]}")
-    digraph = Digraph(graph.n, direction)
-    decomposition = CircuitDecomposition.from_arc_lists(digraph, circuits_arcs)
-    return digraph, decomposition
+    return Digraph(graph.n, direction), circuits_arcs

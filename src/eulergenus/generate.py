@@ -9,8 +9,8 @@ derives a finer decomposition from a given one.
 
 import random
 
-from .digraph import (CircuitDecomposition, Digraph, UndirectedGraph,
-                      eulerian_orientation, undirected_euler_circuit)
+from .digraph import (CircuitDecomposition, Digraph, UndirectedGraph, _orient,
+                      undirected_euler_circuit)
 from .errors import GraphError
 
 
@@ -35,7 +35,7 @@ def gen_kn_minus_pm(n):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if v - u != half]
     graph = UndirectedGraph(n, edges)
     walk = undirected_euler_circuit(graph)
-    digraph, _ = eulerian_orientation(graph, [walk])
+    digraph, _ = _orient(graph, [walk])
     return digraph
 
 
@@ -155,7 +155,7 @@ def gen_random_dense_eulerian(n, k_target=0, seed=0):
     if not graph.is_connected():
         raise GraphError("removed difference classes disconnect the graph; retry with another seed")
     walk = undirected_euler_circuit(graph)
-    digraph, _ = eulerian_orientation(graph, [walk])
+    digraph, _ = _orient(graph, [walk])
     return digraph
 
 

@@ -230,8 +230,7 @@ class CertificationResult:
 
 def certify_maximal(embedding, digraph, decomposition, limit=10_000_000):
     """Certify that an embedding attains the minimum antiface count for C."""
-    traced = frozenset(f.arcs() for f in embedding.profaces)
-    if traced != decomposition.canonical_set():
+    if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding's profaces are not the given circuits")
     summary = enumerate_relative_embeddings(digraph, decomposition, limit)
     return CertificationResult(embedding.antiface_count(), summary)

@@ -530,14 +530,8 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     the given circuits.  Same contract as reduce_to_upper_embedding, and
     digraphs on one or two vertices take the same small-order route."""
     _check_input(embedding.digraph, decomposition, mode)
-    # the profaces are the circuits exactly when each incoming half sits in
-    # a block with the outgoing half its circuit continues to
-    fw = decomposition.fw
-    if len(fw) != embedding.digraph.m:
+    if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding profaces do not match the decomposition")
-    for outgoing, incoming in embedding.halves:
-        if tuple(map(fw.get, incoming)) != outgoing:
-            raise EmbeddingError("embedding profaces do not match the decomposition")
     if embedding.digraph.n <= 2 and len(embedding.antifaces) > 2:
         return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
@@ -710,7 +704,7 @@ def relative_upper_from_partial(digraph, partial, mode=STRICT, validate_steps=Fa
     full = CircuitDecomposition(digraph, circuits + extras)
     emb, trace = reduce_to_upper_embedding(digraph, full, mode, validate_steps)
     trace.metadata["completion"] = {"given": len(circuits), "added": len(extras)}
-    if len(emb.profaces) != len(circuits) + len(extras):
+    if not emb.profaces_are(full):
         raise EmbeddingError(
             f"{len(emb.profaces)} profaces, not the {len(circuits) + len(extras)} circuits"
         )

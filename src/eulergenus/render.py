@@ -8,6 +8,7 @@ renders are reproducible byte for byte.
 """
 
 import math
+from itertools import groupby
 
 PRO_PALETTE = (
     "#1f77b4", "#2ca02c", "#17becf", "#9467bd", "#393b79", "#637939",
@@ -23,10 +24,6 @@ VERTEX_RADIUS = 13.0
 LEGEND_LIMIT = 24
 
 
-def _fmt(x):
-    return f"{x:.2f}"
-
-
 def _color(i, palette):
     return palette[i % len(palette)]
 
@@ -37,53 +34,55 @@ def _toward(p, q, dist):
     return p[0] + dx / norm * dist, p[1] + dy / norm * dist
 
 
-def _arc_path(p, q, bend):
-    """Quadratic bezier from p to q, bowed sideways by ``bend`` pixels,
-    trimmed so the ends clear the vertex disks."""
+# one format call per arc or vertex; a vertex is a circle and its label
+_VERTEX_FORMAT = ('<circle cx="%.2f" cy="%.2f" r="%.2f" fill="#f5f5f5" stroke="#333333" '
+                  'stroke-width="1.2"/>\n<text x="%.2f" y="%.2f" text-anchor="middle" '
+                  'font-size="12" fill="#111111">%d</text>')
+_ARC_FORMAT = ('<path d="M %.2f %.2f Q %.2f %.2f %.2f %.2f" fill="none" stroke="%s" '
+               'stroke-width="1.7" marker-end="url(#head%d)"/>')
+_LOOP_FORMAT = ('<path d="M %.2f %.2f C %.2f %.2f, %.2f %.2f, %.2f %.2f" fill="none" '
+                'stroke="%s" stroke-width="1.7" marker-end="url(#head%d)"/>')
+
+
+def _arc_points(p, q, bend):
+    """Start, control and end of a quadratic bezier from p to q, bowed
+    sideways by ``bend`` pixels and trimmed so the ends clear the vertex
+    disks."""
     mx, my = (p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0
     dx, dy = q[0] - p[0], q[1] - p[1]
     norm = math.hypot(dx, dy) or 1.0
     ctrl = (mx + dy / norm * bend, my - dx / norm * bend)
     start = _toward(p, ctrl, VERTEX_RADIUS + 2.0)
     end = _toward(q, ctrl, VERTEX_RADIUS + 4.0)
-    return (
-        f"M {_fmt(start[0])} {_fmt(start[1])} "
-        f"Q {_fmt(ctrl[0])} {_fmt(ctrl[1])} {_fmt(end[0])} {_fmt(end[1])}"
-    )
+    return (*start, *ctrl, *end)
 
 
-def _loop_path(p, outward, which):
-    """Cubic loop at p pointing away from the layout center; ``which``
-    staggers multiple loops at the same vertex."""
+def _loop_points(p, outward, which):
+    """Start, two controls and end of a cubic loop at p pointing away from
+    the layout center; ``which`` staggers multiple loops at one vertex."""
     base = math.atan2(outward[1], outward[0])
     reach = 46.0 + 24.0 * which
     a1, a2 = base + 0.55, base - 0.55
-    start = (p[0] + math.cos(a1) * VERTEX_RADIUS, p[1] + math.sin(a1) * VERTEX_RADIUS)
-    end = (p[0] + math.cos(a2) * (VERTEX_RADIUS + 3.0),
-           p[1] + math.sin(a2) * (VERTEX_RADIUS + 3.0))
-    c1 = (p[0] + math.cos(a1) * reach, p[1] + math.sin(a1) * reach)
-    c2 = (p[0] + math.cos(a2) * reach, p[1] + math.sin(a2) * reach)
-    return (
-        f"M {_fmt(start[0])} {_fmt(start[1])} "
-        f"C {_fmt(c1[0])} {_fmt(c1[1])}, {_fmt(c2[0])} {_fmt(c2[1])}, "
-        f"{_fmt(end[0])} {_fmt(end[1])}"
-    )
+    return (p[0] + math.cos(a1) * VERTEX_RADIUS, p[1] + math.sin(a1) * VERTEX_RADIUS,
+            p[0] + math.cos(a1) * reach, p[1] + math.sin(a1) * reach,
+            p[0] + math.cos(a2) * reach, p[1] + math.sin(a2) * reach,
+            p[0] + math.cos(a2) * (VERTEX_RADIUS + 3.0),
+            p[1] + math.sin(a2) * (VERTEX_RADIUS + 3.0))
 
 
 def embedding_svg(embedding):
     """Render an embedding as a standalone SVG document string."""
     digraph = embedding.digraph
     n = digraph.n
+    arcs = digraph.arcs
     profaces = embedding.profaces
     antifaces = embedding.antifaces
-    pro_of = {}
-    anti_of = {}
-    for i, face in enumerate(profaces):
-        for a in face.arcs():
-            pro_of[a] = i
-    for i, face in enumerate(antifaces):
-        for a in face.arcs():
-            anti_of[a] = i
+    pro_of = [0] * digraph.m  # per arc, the index of its proface
+    anti_of = [0] * digraph.m
+    for face_of, faces in ((pro_of, profaces), (anti_of, antifaces)):
+        for i, face in enumerate(faces):
+            for h in face.walk:
+                face_of[h >> 1] = i
 
     cx = cy = 240.0
     radius = 175.0
@@ -92,9 +91,10 @@ def embedding_svg(embedding):
         angle = 2.0 * math.pi * v / n - math.pi / 2.0
         pos.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
 
-    groups = {}
-    for a, (t, h) in enumerate(digraph.arcs):
-        groups.setdefault((min(t, h), max(t, h)), []).append(a)
+    # arcs grouped by their unordered end pair, pairs ascending and arc ids
+    # ascending within a pair
+    pair = [min(t, h) * n + max(t, h) for t, h in arcs]
+    order = sorted(range(digraph.m), key=pair.__getitem__)
 
     legend_rows = min(len(profaces), LEGEND_LIMIT) + min(len(antifaces), LEGEND_LIMIT)
     legend_rows += (len(profaces) > LEGEND_LIMIT) + (len(antifaces) > LEGEND_LIMIT)
@@ -113,33 +113,23 @@ def embedding_svg(embedding):
         )
     out.append("</defs>")
 
-    for (u, w), arcs in sorted(groups.items()):
-        for idx, a in enumerate(arcs):
-            t, h = digraph.arcs[a]
-            stroke = _color(pro_of[a], PRO_PALETTE)
-            marker = f"head{anti_of[a]}"
-            if u == w:
-                path = _loop_path(pos[u], (pos[u][0] - cx, pos[u][1] - cy), idx)
+    for _, group in groupby(order, pair.__getitem__):
+        group = list(group)
+        for idx, a in enumerate(group):
+            t, h = arcs[a]
+            style = (_color(pro_of[a], PRO_PALETTE), anti_of[a])
+            if t == h:
+                p = pos[t]
+                out.append(_LOOP_FORMAT % (*_loop_points(p, (p[0] - cx, p[1] - cy), idx),
+                                           *style))
             else:
-                bend = (idx - (len(arcs) - 1) / 2.0) * 17.0
-                if t != u:
+                bend = (idx - (len(group) - 1) / 2.0) * 17.0
+                if t > h:
                     bend = -bend  # keep antiparallel arcs on distinct tracks
-                path = _arc_path(pos[t], pos[h], bend)
-            out.append(
-                f'<path d="{path}" fill="none" stroke="{stroke}" stroke-width="1.7" '
-                f'marker-end="url(#{marker})"/>'
-            )
+                out.append(_ARC_FORMAT % (*_arc_points(pos[t], pos[h], bend), *style))
 
-    for v in range(n):
-        x, y = pos[v]
-        out.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_RADIUS)}" '
-            f'fill="#f5f5f5" stroke="#333333" stroke-width="1.2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="middle" '
-            f'font-size="12" fill="#111111">{v}</text>'
-        )
+    for v, (x, y) in enumerate(pos):
+        out.append(_VERTEX_FORMAT % (x, y, VERTEX_RADIUS, x, y + 4, v))
 
     y = 498
     for label, faces, swatch, palette in (
@@ -168,5 +158,5 @@ def embedding_svg(embedding):
                 f"{label} {i} ({len(face)} arcs)</text>"
             )
             y += 18
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -3,11 +3,12 @@
 All four operations rewrite rotations only at whole-block granularity: a
 block is one (outgoing, incoming) pair of a rotation, and proface pairing
 lives inside blocks while antiface pairing crosses block boundaries.
-Permuting blocks at a vertex therefore rewires antifaces and nothing else.
-The result of each rewrite shares its parent's other rotations and traces
-its own faces (see ``OrientedDirectedEmbedding.with_rotation``); every
-operation checks its own postconditions against that fresh trace and
-raises ``EmbeddingError`` when one fails, also under ``python -O``.
+Permuting blocks at a vertex therefore rewires antifaces and nothing else,
+which each operation checks on the blocks.  The result shares its
+parent's other rotations and traces its own faces (see
+``OrientedDirectedEmbedding.with_rotation``); every antiface
+postcondition is checked against that fresh trace.  A failed check
+raises ``EmbeddingError``, also under ``python -O``.
 """
 
 from fractions import Fraction
@@ -19,23 +20,19 @@ from .interlace import _crowded_vertex
 
 
 class SurgeryResult:
-    """Outcome of one surgery: the new embedding plus face bookkeeping.
+    """Outcome of one surgery: the new embedding and the faces it made.
 
-    ``face_map`` sends the key of each input antiface to a face of the new
-    embedding: merges send all inputs to the merged face; splits send the
-    split face to its kept part and the partner to the merged part.  A new
-    face may carry an input's key, so look inputs up here, not there.
+    ``merged`` is the face the inputs merged into; a split also reports
+    ``kept``, the part of the split face that stayed a face of its own.
+    A new face may carry an input's key, so read the new faces here.
     """
 
-    __slots__ = ("embedding", "face_map", "merged", "kept", "kept_part", "changed", "branch")
+    __slots__ = ("embedding", "merged", "kept", "changed", "branch")
 
-    def __init__(self, embedding, face_map, merged=None, kept=None,
-                 kept_part=None, changed=True, branch=None):
+    def __init__(self, embedding, merged=None, kept=None, changed=True, branch=None):
         self.embedding = embedding
-        self.face_map = face_map
         self.merged = merged
         self.kept = kept
-        self.kept_part = kept_part
         self.changed = changed
         self.branch = branch
 
@@ -79,9 +76,13 @@ def _created_antifaces(embedding, new_embedding, inputs, v, operation):
     """Antifaces of ``new_embedding`` that are not antifaces of ``embedding``.
 
     Raises unless the profaces and every antiface but ``inputs`` survive
-    as an equal walk; a created face keeps an input's key.
+    as an equal walk; a created face keeps an input's key.  The profaces
+    survive exactly when v keeps its blocks, in any order, and every other
+    vertex its halves: a proface leaves on its own block's outgoing half.
     """
-    if new_embedding.profaces != embedding.profaces:
+    old, new = embedding.halves, new_embedding.halves
+    if (old[:v] != new[:v] or old[v + 1:] != new[v + 1:]
+            or set(zip(*old[v])) != set(zip(*new[v]))):
         raise EmbeddingError(f"{operation} at vertex {v} changed the profaces")
     old_faces = embedding.antiface_index()[0]
     gone = {f.key for f in inputs}
@@ -127,8 +128,7 @@ def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
             f"merged antiface at vertex {v} does not hold exactly the arcs of the three inputs"
         )
 
-    face_map = {a.key: merged, b.key: merged, c.key: merged}
-    return SurgeryResult(new_embedding, face_map, merged=merged)
+    return SurgeryResult(new_embedding, merged=merged)
 
 
 def split_swap(embedding, v, face_a, cut1, cut2, face_b):
@@ -137,8 +137,8 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     ``cut1`` and ``cut2`` are distinct corner positions of A lying at v,
     splitting A into part 1 (corner cut1 to corner cut2) and part 2 (corner
     cut2 to corner cut1).  Which part merges with B is forced by the
-    clockwise rotation at v and reported, never assumed: ``kept_part`` names
-    the part that stayed a face of its own.  The antiface count is unchanged.
+    clockwise rotation at v and reported, never assumed: ``kept`` is the
+    part that stayed a face of its own.  The antiface count is unchanged.
     """
     a = embedding.own_antiface(face_a)
     b = embedding.own_antiface(face_b)
@@ -182,7 +182,6 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     else:
         merged_walk = part2 + b_from_corner
         kept_walk = part1
-    kept_part = 3 - merged_part
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
     created = _created_antifaces(embedding, new_embedding, (a, b), v, "split")
@@ -194,9 +193,7 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
             f"split at vertex {v} did not yield the predicted kept and merged antifaces"
         )
     merged, kept = created if created[0].walk == merged_walk else created[::-1]
-    face_map = {a.key: kept, b.key: merged}
-    return SurgeryResult(new_embedding, face_map, merged=merged, kept=kept,
-                         kept_part=kept_part)
+    return SurgeryResult(new_embedding, merged=merged, kept=kept)
 
 
 def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
@@ -237,8 +234,7 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
         raise EmbeddingError(f"merged face misses vertex {x} or {y}")
     if len(second.embedding.antifaces) != len(embedding.antifaces) - 2:
         raise EmbeddingError("interlaced merge did not remove two antifaces")
-    face_map = {a.key: merged, b.key: merged, c.key: merged}
-    return SurgeryResult(second.embedding, face_map, merged=merged)
+    return SurgeryResult(second.embedding, merged=merged)
 
 
 class DivisionResult:
@@ -378,8 +374,7 @@ def blow_up(embedding, face_a, face_b, x):
         target = Fraction(a_size - 1, 2)
     else:
         if 2 * len(b.vertex_set()) >= n - k - 1:
-            return SurgeryResult(embedding, {a.key: a, b.key: b}, changed=False,
-                                 branch="no-op")
+            return SurgeryResult(embedding, changed=False, branch="no-op")
         branch = "y-minority-split"
         if len(arc_neighbors) < 3:
             raise HypothesisError(

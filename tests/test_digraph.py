@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eulergenus import (
     CircuitDecomposition,
@@ -182,7 +182,9 @@ def test_digraphs_share_their_id_ints():
         assert half(first, h) is half(second, h)
     for dec in (first_dec, second_dec):
         digraph = dec.digraph
-        for h, g in dec.fw.items():
+        # the odd half-arcs, as the digraph holds them
+        for h in (h for v in range(digraph.n) for h in digraph.in_half_arcs(v)):
+            g = dec.fw[h]
             assert h is half(digraph, h) and g is half(digraph, g)
     arc = next(a for a in first_dec.circuits[0].arc_ids if a == 280)
     assert arc is next(a for a in second_dec.circuits[0].arc_ids if a == 280)
@@ -365,3 +367,93 @@ def test_eulerian_orientation_balances_the_walk():
     # each undirected edge appears exactly once, in one direction
     seen = {tuple(sorted(arc)) for arc in dg.arcs}
     assert len(seen) == 10
+
+
+def _scan_orientation(graph, walks):
+    """``eulerian_orientation`` as first written: every step rescans u's
+    incident edges from the start for the lowest-id unused one to v."""
+    used = [False] * graph.m
+    direction = [None] * graph.m
+    circuits_arcs = []
+    for w_index, walk in enumerate(walks):
+        if len(walk) < 2 or walk[0] != walk[-1]:
+            raise GraphError(f"walk {w_index} is not closed")
+        seq = []
+        for u, v in zip(walk, walk[1:]):
+            choice = None
+            for e in graph.incident_edges(u):
+                if not used[e] and graph.other_end(e, u) == v:
+                    choice = e
+                    break
+            if choice is None:
+                raise GraphError(
+                    f"walk {w_index} needs an unused edge between {u} and {v}, none left"
+                )
+            used[choice] = True
+            direction[choice] = (u, v)
+            seq.append(choice)
+        circuits_arcs.append(seq)
+    if not all(used):
+        missing = [e for e in range(graph.m) if not used[e]]
+        raise GraphError(f"edges not covered by any walk: {missing[:8]}")
+    digraph = Digraph(graph.n, direction)
+    decomposition = CircuitDecomposition.from_arc_lists(digraph, circuits_arcs)
+    return digraph, decomposition
+
+
+def _outcome(orient, graph, walks):
+    try:
+        digraph, decomposition = orient(graph, walks)
+    except GraphError as exc:
+        return str(exc)
+    return digraph.arcs, [c.arc_ids for c in decomposition.circuits]
+
+
+@st.composite
+def _walks_and_graph(draw):
+    """Closed walks on up to 6 vertices, often along one vertex pair many
+    times, and the even multigraph of their edges in a drawn order; then
+    maybe one edge dropped or added, or one walk left open."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    walks = []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = [draw(vertex)]
+        for _ in range(draw(st.integers(1, 7))):
+            walk.append(draw(vertex.filter(lambda v, last=walk[-1]: v != last)))
+        if walk[-1] != walk[0]:
+            walk.append(walk[0])
+        walks.append(walk)
+    edges = [(u, v) if draw(st.booleans()) else (v, u)
+             for walk in walks for u, v in zip(walk, walk[1:])]
+    edges = draw(st.permutations(edges))
+    change = draw(st.sampled_from(["none", "drop", "add", "open"]))
+    if change == "drop":
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif change == "add":
+        u = draw(vertex)
+        edges.insert(draw(st.integers(0, len(edges))),
+                     (u, draw(vertex.filter(lambda v: v != u))))
+    elif change == "open":
+        walks[draw(st.integers(0, len(walks) - 1))].pop()
+    return UndirectedGraph(n, edges), walks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walks_and_graph())
+def test_eulerian_orientation_equals_the_incident_edge_scan(drawn):
+    graph, walks = drawn
+    want = _outcome(_scan_orientation, graph, walks)
+    assert _outcome(eulerian_orientation, graph, walks) == want
+
+
+@pytest.mark.parametrize("edges, walk, message", [
+    ([(0, 1), (1, 2), (2, 0)], [0, 1, 0], "needs an unused edge between 1 and 0"),
+    ([(0, 1), (1, 0), (0, 1)], [0, 1, 0], r"edges not covered by any walk: \[2\]"),
+    ([(0, 1), (1, 0)], [0, 1], "walk 0 is not closed"),
+])
+def test_eulerian_orientation_errors(edges, walk, message):
+    graph = UndirectedGraph(3, edges)
+    for orient in (eulerian_orientation, _scan_orientation):
+        with pytest.raises(GraphError, match=message):
+            orient(graph, [walk])

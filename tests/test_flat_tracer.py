@@ -1,8 +1,9 @@
 """Fast paths against written-out references.
 
-The flat tracer, the sliced alternation rule, the arc-set arrival lookup
-and the counting three-face search each have a plain reference here that
-follows the definition step by step.
+The flat tracer, the sliced alternation rule, the arc-set arrival lookup,
+the counting three-face search and the block test of proface identity
+each have a plain reference here that follows the definition step by
+step.
 """
 
 import random
@@ -256,3 +257,74 @@ def test_arrival_lookup_equals_the_corner_scan(graph_index, seed, rewires):
 def test_three_face_search_equals_the_membership_scan(graph_index, seed, rewires):
     emb = _walked_embedding(EULERIAN[graph_index], seed, rewires)
     assert find_vertex_on_three_antifaces(emb) == _old_find_vertex_on_three_antifaces(emb)
+
+
+def _transition_decomposition(digraph, rng):
+    """The circuits of a random pairing of in- and out-halves at each vertex."""
+    fw = {}
+    for v in range(digraph.n):
+        outs = list(digraph.out_half_arcs(v))
+        rng.shuffle(outs)
+        fw.update(zip(digraph.in_half_arcs(v), outs))
+    circuits, seen = [], set()
+    for start in range(digraph.m):
+        walk = []
+        a = start
+        while a not in seen:
+            seen.add(a)
+            walk.append(a)
+            a = fw[2 * a + 1] >> 1
+        if walk:
+            circuits.append(walk)
+    return CircuitDecomposition.from_arc_lists(digraph, circuits)
+
+
+def _shuffled_blocks(digraph, decomposition, rng):
+    """An embedding of the circuits with every vertex's blocks shuffled."""
+    fw = decomposition.fw
+    rotations = []
+    for v in range(digraph.n):
+        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
+        rng.shuffle(blocks)
+        rotations.append(flat_rotation(blocks))
+    return OrientedDirectedEmbedding(digraph, rotations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(range(len(GRAPHS))),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["own", "other", "re-paired", "random"]),
+)
+def test_proface_identity_from_blocks_equals_the_traced_comparison(graph_index, seed, state):
+    digraph = GRAPHS[graph_index]
+    rng = random.Random(seed)
+    decomposition = _transition_decomposition(digraph, rng)
+    if state == "random":
+        emb = OrientedDirectedEmbedding(digraph, _random_rotations(digraph, rng))
+    else:
+        emb = _shuffled_blocks(digraph, decomposition, rng)
+    if state == "other":
+        # another decomposition of the same digraph, at times the same one
+        decomposition = _transition_decomposition(digraph, rng)
+    elif state == "re-paired":
+        v = rng.choice([v for v in range(digraph.n) if digraph.outdeg(v) >= 2])
+        (g0, h0), (g1, h1), *rest = emb.blocks_at(v)
+        emb = emb.with_rotation(v, flat_rotation([(g1, h0), (g0, h1), *rest]))
+    traced = frozenset(f.arcs() for f in emb.profaces)
+    same = traced == decomposition.canonical_set()
+    assert emb.profaces_are(decomposition) is same
+    if state in ("own", "re-paired"):
+        assert same is (state == "own")
+
+
+def test_a_decomposition_of_another_digraph_is_never_the_profaces():
+    """Arc ids can trace the same circuits in two digraphs; only the
+    embedding's own digraph counts."""
+    digraph = Digraph(2, [(0, 1), (1, 0)])
+    other = Digraph(2, [(1, 0), (0, 1)])
+    emb = OrientedDirectedEmbedding(digraph, [(0, 3), (2, 1)])
+    foreign = CircuitDecomposition.from_arc_lists(other, [[0, 1]])
+    assert {f.arcs() for f in emb.profaces} == foreign.canonical_set()
+    assert not emb.profaces_are(foreign)
+    assert emb.profaces_are(CircuitDecomposition.from_arc_lists(digraph, [[0, 1]]))

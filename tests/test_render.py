@@ -1,10 +1,15 @@
 """SVG renders: structure, palettes, determinism."""
 
+import hashlib
+import random
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from eulergenus import (
     CircuitDecomposition,
     Digraph,
+    OrientedDirectedEmbedding,
     embed_from_decomposition,
     embedding_svg,
     euler_circuit,
@@ -77,3 +82,51 @@ def test_legend_lists_small_face_families():
     assert "more proface" not in svg
     assert "proface 0" in svg
     assert "antiface 0" in svg
+
+
+def _mixed_multidigraph():
+    """Loops (two at one vertex), parallel and antiparallel arcs, and a
+    pair joined both ways by more than one arc."""
+    digraph = Digraph(3, [(0, 1), (0, 1), (1, 0), (1, 0), (1, 2), (2, 1), (0, 0),
+                          (1, 1), (1, 1), (2, 0), (0, 2)])
+    return digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)])
+
+
+def _shuffled(digraph, decomposition, seed):
+    """An embedding of the circuits with every vertex's blocks shuffled."""
+    rng = random.Random(seed)
+    fw = decomposition.fw
+    rotations = []
+    for v in range(digraph.n):
+        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
+        rng.shuffle(blocks)
+        rotations.append([h for block in blocks for h in block])
+    return OrientedDirectedEmbedding(digraph, rotations)
+
+
+def _golden_embeddings():
+    mixed = _mixed_multidigraph()
+    sts = gen_sts(13)
+    kn = gen_kn_minus_pm(12)
+    return {
+        "kn12-shuffled": _shuffled(kn, CircuitDecomposition(kn, [euler_circuit(kn)]), seed=2),
+        "mixed-canonical": embed_from_decomposition(*mixed),
+        "mixed-shuffled": _shuffled(*mixed, seed=3),
+        "sts13-shuffled": _shuffled(*sts, seed=1),
+    }
+
+
+# SHA-256 of each render, fixed when the renderer was first pinned; any
+# change to the output bytes must update these on purpose.
+SVG_DIGESTS = {
+    "kn12-shuffled": "c1e2e52960eb13f6d3d71a839facfbc5cc1542a3b0aead8725cbaaafbf56d122",
+    "mixed-canonical": "8add5c0e4ffd0f5834cefc7499e969f89e85ed6214e9b094397d7bfff52e421c",
+    "mixed-shuffled": "b3137880da65f3c712e46c8dc222ebb39b2c5c0d2ccc0ab0f8c2e52e6fb61237",
+    "sts13-shuffled": "90de3bca500d180493e804452385a760b110fc927f686c4755e134dfa6a01862",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVG_DIGESTS))
+def test_renders_match_their_golden_digests(name):
+    svg = embedding_svg(_golden_embeddings()[name])
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[name]

@@ -30,7 +30,7 @@ from eulergenus import (
     verify_embedding,
 )
 from eulergenus import surgery as surgery_module
-from eulergenus.embedding import FaceWalk
+from eulergenus.embedding import FaceWalk, flat_rotation
 
 from conftest import nth_state
 
@@ -45,7 +45,6 @@ def test_merge_three_drops_the_count_by_two(tournament7):
     assert len(result.embedding.antifaces) == before - 2
     assert set(result.merged.arcs()) == set(a.arcs()) | set(b.arcs()) | set(c.arcs())
     assert verify_embedding(result.embedding, decomposition).ok
-    assert result.face_map[a.key] is result.merged
 
 
 def test_merge_three_collapses_three_loops(three_loops):
@@ -81,6 +80,42 @@ def test_split_swap_preserves_profaces(four_loops):
     result = split_swap(emb, 0, a, cut1, cut2, b)
     want = decomposition.canonical_set()
     assert {f.arcs() for f in result.embedding.profaces} == want
+
+
+def _re_pair_after_rewiring(monkeypatch, at):
+    """Have ``_rewire_three`` swap the outgoing halves of the first two
+    blocks of its child at the vertex ``at`` picks from the moved one."""
+    real = surgery_module._rewire_three
+
+    def rewire(embedding, v, *halves):
+        child = real(embedding, v, *halves)
+        u = at(v, embedding.digraph.n)
+        (g0, h0), (g1, h1), *rest = child.blocks_at(u)
+        # re-pair two blocks: profaces change
+        return child.with_rotation(u, flat_rotation([(g1, h0), (g0, h1), *rest]))
+
+    monkeypatch.setattr(surgery_module, "_rewire_three", rewire)
+
+
+@pytest.mark.parametrize("at", [lambda v, n: v, lambda v, n: (v + 1) % n],
+                         ids=["moved-vertex", "other-vertex"])
+def test_merge_three_rejects_re_paired_blocks(tournament7, monkeypatch, at):
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 0)
+    v, inputs = find_vertex_on_three_antifaces(emb)
+    _re_pair_after_rewiring(monkeypatch, at)
+    with pytest.raises(EmbeddingError, match=f"merge at vertex {v} changed the profaces"):
+        merge_three_at_vertex(emb, v, *inputs)
+
+
+def test_split_swap_rejects_re_paired_blocks(four_loops, monkeypatch):
+    digraph, decomposition = four_loops
+    emb = nth_state(digraph, decomposition, 0)
+    a, b = emb.antifaces
+    cut1, cut2 = a.corner_positions(0)[:2]
+    _re_pair_after_rewiring(monkeypatch, lambda v, n: v)
+    with pytest.raises(EmbeddingError, match="split at vertex 0 changed the profaces"):
+        split_swap(emb, 0, a, cut1, cut2, b)
 
 
 def _corrupt_derived_faces(monkeypatch, parent, corrupt):
@@ -262,7 +297,6 @@ def test_merge_interlaced_collapses_three_faces():
     assert [f.walk for f in result.embedding.antifaces] == [(0, 10, 6, 2, 4, 8)]
     assert result.merged.walk == (0, 10, 6, 2, 4, 8)
     assert verify_embedding(result.embedding, decomposition).ok
-    assert result.face_map[b.key] is result.merged
 
 
 def test_merge_interlaced_requires_distinct_faces():

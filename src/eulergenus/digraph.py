@@ -7,7 +7,8 @@ order used by every deterministic scan in the package.
 
 A ``Digraph`` is immutable, so it remembers two small facts the first time
 they are asked for: the connectivity flag behind ``is_connected()`` and the
-``DensityProfile`` that ``density_profile`` returns.  Each costs a few
+``DensityProfile`` that ``density_profile`` returns (an ``UndirectedGraph``
+remembers its connectivity likewise).  Each costs a few
 machine words, and the embed pipeline otherwise asks for each several times
 over.  The loop-free simple adjacency (``underlying_simple_graph``) is not
 kept: it holds a set per vertex, O(n + m) words on a dense digraph, and a
@@ -82,6 +83,10 @@ class Digraph:
     def __init__(self, n, arcs):
         arcs = tuple((t, h) for t, h in arcs)
         require_ints([(n,), *arcs], GraphError, "the vertex count and arc endpoints")
+        self._build(n, arcs)
+
+    def _build(self, n, arcs):
+        """Fill the slots from ``arcs``, a tuple of pairs of ints."""
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
         for a, (t, h) in enumerate(arcs):
@@ -143,28 +148,8 @@ class Digraph:
     def is_connected(self):
         """Connectivity of the underlying multigraph; isolated vertices disconnect."""
         if self._connected is None:
-            self._connected = self._reaches_every_vertex()
+            self._connected = _spans(self.n, self.arcs)
         return self._connected
-
-    def _reaches_every_vertex(self):
-        if self.n == 1:
-            return True
-        adj = [set() for _ in range(self.n)]
-        for t, h in self.arcs:
-            adj[t].add(h)
-            adj[h].add(t)
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
 
     def is_eulerian(self):
         return self.is_balanced() and self.is_connected()
@@ -185,9 +170,12 @@ class Digraph:
                 raise GraphError(
                     f"bad digraph JSON: {n} vertices but only {len(arcs)} arcs"
                 )
-            return cls(n, arcs)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad digraph JSON: {exc}") from exc
+        # the ints are checked, so the constructor's own check is skipped
+        digraph = cls.__new__(cls)
+        digraph._build(n, tuple(map(tuple, arcs)))
+        return digraph
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
@@ -197,6 +185,26 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+def _spans(n, pairs):
+    """True when the vertex pairs ``pairs``, read as edges, join all of
+    0..n-1."""
+    adj = [set() for _ in range(n)]
+    for t, h in pairs:
+        adj[t].add(h)
+        adj[h].add(t)
+    seen = [False] * n
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        for w in adj[queue.popleft()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                queue.append(w)
+    return count == n
 
 
 def build_digraph(n, arcs):
@@ -436,7 +444,7 @@ def greedy_circuit_decomposition(digraph):
 class UndirectedGraph:
     """Simple-input undirected multigraph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "edges", "_incident")
+    __slots__ = ("n", "edges", "_incident", "_connected")
 
     def __init__(self, n, edges):
         edges = tuple((u, v) for u, v in edges)
@@ -455,6 +463,7 @@ class UndirectedGraph:
             incident[u].append(e)
             incident[v].append(e)
         self._incident = tuple(tuple(es) for es in incident)
+        self._connected = None  # filled on first use by is_connected()
 
     @property
     def m(self):
@@ -475,21 +484,9 @@ class UndirectedGraph:
         raise GraphError(f"edge {e} is not incident with vertex {v}")
 
     def is_connected(self):
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for e in self._incident[v]:
-                w = self.other_end(e, v)
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        if self._connected is None:
+            self._connected = _spans(self.n, self.edges)
+        return self._connected
 
 
 def undirected_euler_circuit(graph):

@@ -16,17 +16,17 @@ proface departs inside the block of its arrival, the pair that sits
 clockwise-before it, so profaces depend only on how half-arcs pair into
 blocks.  With the profaces fixed to a circuit decomposition the pairing
 is fixed too (``decomposition_blocks``), and an embedding is just the
-cyclic order of its blocks at each vertex.  That order is read once per
-rotation, when an embedding is built: ``_blocks`` checks the rotation and
-splits it into ``halves``, the outgoing and the incoming halves of its
-blocks, which the embedding keeps and every later reader takes, and from
-which ``profaces_are`` alone decides whether the profaces are the circuits.
-``successors`` turns the halves into the map a face follows from arc to
-arc, and ``flat_rotation`` writes blocks back into a rotation.
-``with_rotation`` reads only the rotation it replaces and shares the rest;
-its result is traced like any other embedding, so a surgery's
-postconditions are checked against faces that owe nothing to its
-parent's.
+cyclic order of its blocks at each vertex: all it stores is ``halves``,
+the outgoing and the incoming halves of its blocks.  ``_blocks`` splits
+each rotation into them once, when an embedding is built, and
+``_check_halves`` checks them, then and in ``verify_embedding``.
+``profaces_are`` and ``successors`` (the map a face follows from arc to
+arc) read them.  ``rotations`` writes them back through ``flat_rotation``,
+each from its first outgoing half, also where the given rotation started
+on an incoming half.  ``with_rotation`` reads only the rotation it
+replaces and shares the rest; its result is traced like any other
+embedding, so a surgery's postconditions are checked against faces that
+owe nothing to its parent's.
 
 The full tracer walks ``successors``: one step of a face from outgoing
 half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and a
@@ -150,11 +150,11 @@ class OrientedDirectedEmbedding:
 
     ``halves[v]`` is the rotation at v read as ``(outgoing, incoming)``:
     block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
-    rotation's first outgoing half.  ``_faces`` is None until the faces are
-    first read, when ``_trace`` traces them from the halves.
+    rotation's first outgoing half, and is all that is stored per vertex.
+    ``_faces`` is None until ``_trace`` traces the halves on first read.
     """
 
-    __slots__ = ("digraph", "rotations", "halves", "_faces", "_antiface_index")
+    __slots__ = ("digraph", "halves", "_faces", "_antiface_index")
 
     def __init__(self, digraph, rotations):
         rotations = tuple(map(tuple, rotations))
@@ -164,19 +164,23 @@ class OrientedDirectedEmbedding:
                 f"expected {digraph.n} rotations, got {len(rotations)}"
             )
         self.digraph = digraph
-        self.rotations = rotations
         self.halves = tuple(
             _blocks(digraph, v, rot) for v, rot in enumerate(rotations)
         )
         self._faces = None
         self._antiface_index = None
 
+    @property
+    def rotations(self):
+        """Each rotation, built anew from its blocks on every read."""
+        return tuple(flat_rotation(zip(*pair)) for pair in self.halves)
+
     def next_cw(self, h):
-        rot = self.rotations[self.digraph.half_arc_vertex(h)]
+        rot = flat_rotation(self.blocks_at(self.digraph.half_arc_vertex(h)))
         return rot[(rot.index(h) + 1) % len(rot)]
 
     def prev_cw(self, h):
-        rot = self.rotations[self.digraph.half_arc_vertex(h)]
+        rot = flat_rotation(self.blocks_at(self.digraph.half_arc_vertex(h)))
         return rot[rot.index(h) - 1]
 
     def blocks_at(self, v):
@@ -273,15 +277,14 @@ class OrientedDirectedEmbedding:
     def with_rotation(self, v, new_rotation):
         """This embedding with the rotation at v replaced.
 
-        Only the new rotation is read; every other rotation and its halves
-        are shared.  The child's faces are traced in full when first read.
+        Only the new rotation is read; every other vertex's halves are
+        shared.  The child's faces are traced in full when first read.
         """
         rotation = tuple(new_rotation)
         require_ints((rotation,), EmbeddingError, "rotation half-arcs")
         halves = _blocks(self.digraph, v, rotation)
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
         child.digraph = self.digraph
-        child.rotations = self.rotations[:v] + (rotation,) + self.rotations[v + 1:]
         child.halves = self.halves[:v] + (halves,) + self.halves[v + 1:]
         child._faces = None
         child._antiface_index = None
@@ -302,11 +305,11 @@ class OrientedDirectedEmbedding:
         return (
             isinstance(other, OrientedDirectedEmbedding)
             and self.digraph == other.digraph
-            and self.rotations == other.rotations
+            and self.halves == other.halves
         )
 
     def __hash__(self):
-        return hash(self.rotations)
+        return hash(self.halves)
 
     def __repr__(self):
         return f"OrientedDirectedEmbedding(n={self.digraph.n}, m={self.digraph.m})"
@@ -331,19 +334,24 @@ def _blocks(digraph, v, rotation):
 
     Block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
     rotation's first outgoing half; an empty rotation has no blocks.
-    Raises ``_RotationFault`` if the rotation is not a permutation of v's
-    half-arcs, and otherwise if it does not alternate.
+    ``_check_halves`` checks them.
     """
     turned = rotation[1:] + rotation[:1] if rotation and rotation[0] & 1 else rotation
-    outgoing = turned[0::2]
-    incoming = turned[1::2]
+    halves = turned[0::2], turned[1::2]
+    _check_halves(digraph, v, *halves)
+    return halves
+
+
+def _check_halves(digraph, v, outgoing, incoming):
+    """Raise ``_RotationFault`` if the blocks at v do not hold a permutation
+    of v's half-arcs, and otherwise if they do not alternate."""
     # exactly the alternating permutations hold v's outgoing halves at the
     # even places and its incoming ones at the odd places
     if (len(outgoing) == len(incoming)
             and tuple(sorted(outgoing)) == digraph.out_half_arcs(v)
             and tuple(sorted(incoming)) == digraph.in_half_arcs(v)):
-        return outgoing, incoming
-    if tuple(sorted(rotation)) != digraph.incident_half_arcs(v):
+        return
+    if tuple(sorted(outgoing + incoming)) != digraph.incident_half_arcs(v):
         raise _RotationFault(
             "rotation-structure",
             f"rotation at vertex {v} is not a permutation of its half-arcs",
@@ -441,9 +449,9 @@ def verify_embedding(embedding, decomposition=None):
     """Check structural validity, face coverage, proface identity, and parity."""
     failures = []
     digraph = embedding.digraph
-    for v, rotation in enumerate(embedding.rotations):
+    for v, (outgoing, incoming) in enumerate(embedding.halves):
         try:
-            _blocks(digraph, v, rotation)
+            _check_halves(digraph, v, outgoing, incoming)
         except _RotationFault as fault:
             failures.append((fault.check, str(fault)))
     if failures:

@@ -33,8 +33,8 @@ so ``2 * root`` is a face key.  A case-1 step scans in-halves from a
 cursor to the first vertex on three orbits (unions never crowd a vertex,
 so none below the cursor is), re-pairs the lowest arrivals of its three
 least orbits through ``surgery._rewire_three``, whose child shares every
-other rotation and is traced only when read, and unions them.  The child
-copies two n-tuples of references, and under the theorem's density bound
+other vertex's halves and is traced only when read, and unions them.  The
+child copies one n-tuple of references, and under the theorem's density bound
 (deg v >= (4n + 2)/5) that is still O(deg v), so the step costs
 O(deg v · α) whatever the faces' lengths.  Every other step needs the
 touch graph and the surgeries, so it traces the current embedding (O(m)),
@@ -48,7 +48,7 @@ are exactly the core's orbits.
 from .digraph import (CircuitDecomposition, Digraph, DirectedCircuit,
                       _euler_circuits, density_profile, underlying_simple_graph)
 from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
-                        successors, verify_embedding)
+                        flat_rotation, successors, verify_embedding)
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
 from .interlace import (check_big_moderate, check_diamond_corollary,
@@ -597,7 +597,7 @@ def _small_order(embedding, decomposition, validate_steps):
 def _splice_across_two_cut(digraph, decomposition, forward, backward):
     """Two vertices joined by one arc each way: solve each side with its
     share of the crossing circuit replaced by a loop, then substitute the
-    crossing arcs back into the rotations."""
+    crossing arcs back into the blocks."""
     star = None
     for circuit in decomposition.circuits:
         if forward in circuit.arc_ids:
@@ -619,7 +619,7 @@ def _splice_across_two_cut(digraph, decomposition, forward, backward):
         (0, [a for a in range(digraph.m) if digraph.arcs[a] == (0, 0)], near_loops),
         (1, [a for a in range(digraph.m) if digraph.arcs[a] == (1, 1)], far_loops),
     )
-    rotations = []
+    blocks = []
     counts = []
     for vertex, loops, tail_segment in sides:
         index_of = {a: j for j, a in enumerate(loops)}
@@ -636,19 +636,14 @@ def _splice_across_two_cut(digraph, decomposition, forward, backward):
         side_decomposition = CircuitDecomposition.from_arc_lists(side_digraph, side_lists)
         side_emb, _ = small_order_embedding(side_digraph, side_decomposition)
         counts.append(len(side_emb.antifaces))
-        if vertex == 0:
-            out_half, in_half = 2 * forward, 2 * backward + 1
-        else:
-            out_half, in_half = 2 * backward, 2 * forward + 1
-        mapping = {}
-        for j, a in enumerate(loops):
-            mapping[2 * j] = 2 * a
-            mapping[2 * j + 1] = 2 * a + 1
-        mapping[2 * bridge] = out_half
-        mapping[2 * bridge + 1] = in_half
-        rotations.append([mapping[h] for h in side_emb.rotations[0]])
+        # side arc j is loops[j]; the bridge leaves on one cut arc and
+        # arrives on the other
+        out_arc, in_arc = (forward, backward) if vertex == 0 else (backward, forward)
+        leaving, arriving = loops + [out_arc], loops + [in_arc]
+        blocks.append([(2 * leaving[g >> 1], 2 * arriving[h >> 1] + 1)
+                       for g, h in side_emb.blocks_at(0)])
 
-    emb = OrientedDirectedEmbedding(digraph, rotations)
+    emb = OrientedDirectedEmbedding(digraph, map(flat_rotation, blocks))
     report = verify_embedding(emb, decomposition)
     if not report.ok:
         raise EmbeddingError(report.summary())

@@ -84,6 +84,18 @@ def test_witness_replays_its_exit(witness):
     assert got["rotations"] == witness["rotations"]
 
 
+def test_every_witness_runs_its_case():
+    """Each start reaches its case's blow up, so its exit is exercised.  The
+    two no-op starts are the exception: the reducer drops a step that left
+    the embedding unchanged, so their traces end in the dead-end text."""
+    for witness in WITNESSES:
+        if (witness["seed"], witness["index"]) in {(3, 32), (4, 25)}:
+            assert witness["dead_end"] == "case 2.2: the step left the embedding unchanged"
+            continue
+        blow_ups = [step for step in witness["trace"] if step["operation"] == "blow_up"]
+        assert witness["case"] in {step["case"] for step in blow_ups}, witness["label"]
+
+
 @pytest.mark.parametrize("witness", WITNESSES, ids=IDS)
 def test_witness_trace_passes_validate(witness):
     """Dead ends included, no trace holds three count-preserving steps in a

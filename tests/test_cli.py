@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from eulergenus import (CircuitDecomposition, Digraph, GraphError,
-                        embed_from_decomposition, enumerate_relative_embeddings,
+                        OrientedDirectedEmbedding, embed_from_decomposition,
+                        enumerate_relative_embeddings,
                         euler_circuit, gen_rotational_tournament,
                         reduce_to_upper_embedding)
 from eulergenus.cli import main
@@ -60,6 +61,29 @@ def test_gen_embed_verify_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip() == "ok: 1 profaces, 1 antifaces"
+
+
+def test_a_rotation_starting_on_an_incoming_half_round_trips_turned(tmp_path, capsys):
+    """``embed`` writes each rotation from its first outgoing half; turned
+    to start on an incoming half, it still verifies and reads back as
+    written, since only the blocks are stored."""
+    g, c, e, turned = (tmp_path / f"{name}.json" for name in ("g", "c", "e", "turned"))
+    run(["gen", "tournament", "--n", "7", "--out", str(g), "--circuits", str(c)], capsys)
+    assert run(["embed", "--in", str(g), "--circuits", str(c), "--out", str(e)],
+               capsys)[0] == 0
+    written = json.loads(e.read_text())
+    turned.write_text(json.dumps(
+        {"rotations": [rot[-1:] + rot[:-1] for rot in written["rotations"]]}))
+    outputs = []
+    for path in (e, turned):
+        code, out, err = run(["verify", "--in", str(g), "--embedding", str(path),
+                              "--circuits", str(c)], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == "ok: 1 profaces, 1 antifaces\n"
+    digraph = Digraph.from_json_dict(json.loads(g.read_text()))
+    again = OrientedDirectedEmbedding.from_json_dict(digraph, json.loads(turned.read_text()))
+    assert again.to_json_dict() == written
 
 
 def test_verify_flags_mismatched_circuits(tmp_path, capsys):

@@ -111,6 +111,8 @@ def test_clockwise_neighbors(three_loops):
     assert emb.prev_cw(1) == 2
     assert emb.prev_cw(2) == 5
     assert emb.next_cw(5) == 2
+    assert emb.next_cw(0) == 5
+    assert emb.prev_cw(0) == 3
     assert emb.blocks_at(0) == ((2, 1), (4, 3), (0, 5))
 
 
@@ -174,7 +176,7 @@ def test_with_rotation_validates_the_new_rotation_only():
     with pytest.raises(EmbeddingError, match="not a permutation"):
         emb.with_rotation(2, emb.rotations[2][1:])
     child = emb.with_rotation(2, emb.rotations[2][::-1])
-    assert child.rotations[3] is emb.rotations[3]
+    assert child.halves[3] is emb.halves[3]
 
 
 def _nudged(rotation):
@@ -260,6 +262,21 @@ def test_embedding_json_round_trip(tournament7):
     data = json.loads(json.dumps(emb.to_json_dict()))
     again = OrientedDirectedEmbedding.from_json_dict(digraph, data)
     assert again.rotations == emb.rotations
+    assert again == emb and hash(again) == hash(emb)
+
+
+def test_a_rotation_starting_on_an_incoming_half_reads_back_turned(tournament7):
+    """Only the blocks are stored, so a rotation is written back from its
+    first outgoing half."""
+    digraph, decomposition = tournament7
+    emb = _random_start(digraph, random.Random(6))
+    given = [rot[-1:] + rot[:-1] for rot in emb.rotations]
+    assert all(rot[0] & 1 for rot in given)
+    turned = OrientedDirectedEmbedding(digraph, given)
+    assert turned.rotations == emb.rotations
+    assert turned.to_json_dict() == {"rotations": [list(rot) for rot in emb.rotations]}
+    assert turned == emb and hash(turned) == hash(emb)
+    assert {f.walk for f in turned.antifaces} == {f.walk for f in emb.antifaces}
 
 
 def test_euler_genus_matches_the_face_count(tournament7):
@@ -291,25 +308,34 @@ def test_verify_flags_proface_mismatch(three_loops):
     assert report.summary().startswith("FAILED")
 
 
+def _with_halves(emb, v, outgoing, incoming):
+    """``emb`` with the stored halves at v replaced, the constructor
+    bypassed to exercise the verifier on a malformed state."""
+    broken = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
+    broken.digraph = emb.digraph
+    broken.halves = emb.halves[:v] + ((tuple(outgoing), tuple(incoming)),) + emb.halves[v + 1:]
+    return broken
+
+
 def test_verify_flags_corrupted_rotation(tournament7):
     digraph, decomposition = tournament7
     emb = embed_from_decomposition(digraph, decomposition)
-    rotations = [list(r) for r in emb.rotations]
-    rotations[0][0] = rotations[0][2]
-    broken = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
-    # bypass the constructor to exercise the verifier on a malformed state
-    broken.digraph = digraph
-    broken.rotations = tuple(tuple(r) for r in rotations)
-    report = verify_embedding(broken, decomposition)
+    outgoing, incoming = map(list, emb.halves[0])
+    outgoing[0] = outgoing[1]
+    report = verify_embedding(_with_halves(emb, 0, outgoing, incoming), decomposition)
     assert not report.ok
     assert report.failures == (
         ("rotation-structure", "rotation at vertex 0 is not a permutation of its half-arcs"),
     )
+
+
+def test_verify_flags_rotation_that_does_not_alternate(tournament7):
+    digraph, decomposition = tournament7
+    emb = embed_from_decomposition(digraph, decomposition)
     # a permutation whose first two halves are swapped no longer alternates
-    rotations = [list(r) for r in emb.rotations]
-    rotations[1][:2] = rotations[1][1::-1]
-    broken.rotations = tuple(tuple(r) for r in rotations)
-    report = verify_embedding(broken, decomposition)
+    outgoing, incoming = map(list, emb.halves[1])
+    outgoing[0], incoming[0] = incoming[0], outgoing[0]
+    report = verify_embedding(_with_halves(emb, 1, outgoing, incoming), decomposition)
     assert report.failures == (("alternation", "rotation at vertex 1 does not alternate"),)
     assert report.summary() == "FAILED\nalternation: rotation at vertex 1 does not alternate"
 

@@ -60,19 +60,57 @@ def is_outgoing(h):
 
 def check_json_ints(rows):
     """Raise TypeError unless every item of every row is a JSON integer; a
-    ``bool`` is refused although it subclasses ``int``."""
+    ``bool`` is refused although it subclasses ``int``.  The readers below
+    are its only callers, and each passes every int it reads once."""
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise TypeError(f"{bad!r} is not an integer")
 
 
-def require_ints(rows, error, what):
-    """Raise ``error`` unless every item of every row is an integer, as
-    ``check_json_ints`` decides; ``what`` names the items."""
+# Each input type has one reader, which copies, type-checks and validates it
+# and is shared by every entry point that takes that input.  A reader raises
+# TypeError naming the first item that is not an int, not a sequence or not
+# a pair, and each entry point words that one failure: a constructor as
+# "... must be integers: ...", a JSON loader as "bad ... JSON: ...".  Any
+# other fault raises the library's own error with the constructors' message.
+
+
+def _sequence(items, what, error=TypeError):
+    """``items`` as a tuple; ``error`` names it, as ``what``, if it is not
+    iterable."""
     try:
-        check_json_ints(rows)
-    except TypeError as exc:
-        raise error(f"{what} must be integers: {exc}") from None
+        return tuple(items)
+    except TypeError:
+        raise error(f"{what} is {items!r}, not a sequence") from None
+
+
+def _read_pairs(n, pairs, kind):
+    """The ``kind`` ("arc" or "edge") pairs of a graph on ``n`` vertices, read
+    once: a tuple of (int, int) tuples with both ends in 0..n-1."""
+    pairs = _sequence(pairs, f"the {kind} list")
+    try:
+        read = tuple(map(tuple, pairs))
+    except TypeError:
+        read = None
+    if read is None or set(map(len, read)) - {2}:
+        i = next(i for i, pair in enumerate(pairs) if not _is_pair(pair))
+        raise TypeError(f"{kind} {i} is {pairs[i]!r}, not a pair")
+    if type(n) is not int:
+        raise TypeError(f"{n!r} is not an integer")
+    check_json_ints(read)
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    for i, (t, h) in enumerate(read):
+        if not (0 <= t < n and 0 <= h < n):
+            raise GraphError(f"{kind} {i} = ({t}, {h}) has an endpoint outside 0..{n - 1}")
+    return read
+
+
+def _is_pair(item):
+    try:
+        return len(tuple(item)) == 2
+    except TypeError:
+        return False
 
 
 class Digraph:
@@ -81,17 +119,16 @@ class Digraph:
     __slots__ = ("n", "arcs", "_out", "_in", "_connected", "_profile")
 
     def __init__(self, n, arcs):
-        arcs = tuple((t, h) for t, h in arcs)
-        require_ints([(n,), *arcs], GraphError, "the vertex count and arc endpoints")
+        try:
+            arcs = _read_pairs(n, arcs, "arc")
+        except TypeError as exc:
+            raise GraphError(
+                f"the vertex count and arc endpoints must be integers: {exc}"
+            ) from None
         self._build(n, arcs)
 
     def _build(self, n, arcs):
-        """Fill the slots from ``arcs``, a tuple of pairs of ints."""
-        if n < 1:
-            raise GraphError(f"vertex count must be positive, got {n}")
-        for a, (t, h) in enumerate(arcs):
-            if not (0 <= t < n and 0 <= h < n):
-                raise GraphError(f"arc {a} = ({t}, {h}) has an endpoint outside 0..{n - 1}")
+        """Fill the slots from ``arcs`` as ``_read_pairs`` returns them."""
         if n <= 256:
             arcs = tuple(map(_shared_pairs.setdefault, arcs, arcs))
         self.n = n
@@ -160,21 +197,16 @@ class Digraph:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n, arcs = data["n"], data["arcs"]
-            check_json_ints([[n], *arcs])
-            if set(map(len, arcs)) - {2}:
-                raise TypeError("an arc is not a pair")
-            # a connected eulerian digraph on n >= 2 vertices has at least
-            # n arcs; checked before the constructor allocates per vertex
-            if n > max(1, len(arcs)):
-                raise GraphError(
-                    f"bad digraph JSON: {n} vertices but only {len(arcs)} arcs"
-                )
+            n = data["n"]
+            arcs = _read_pairs(n, data["arcs"], "arc")
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad digraph JSON: {exc}") from exc
-        # the ints are checked, so the constructor's own check is skipped
+        # a connected eulerian digraph on n >= 2 vertices has at least n
+        # arcs; checked before anything is allocated per vertex
+        if n > max(1, len(arcs)):
+            raise GraphError(f"bad digraph JSON: {n} vertices but only {len(arcs)} arcs")
         digraph = cls.__new__(cls)
-        digraph._build(n, tuple(map(tuple, arcs)))
+        digraph._build(n, arcs)
         return digraph
 
     def __eq__(self, other):
@@ -218,8 +250,16 @@ class DirectedCircuit:
     __slots__ = ("digraph", "arc_ids")
 
     def __init__(self, digraph, arc_ids):
-        arc_ids = tuple(arc_ids)
-        require_ints((arc_ids,), GraphError, "circuit arc ids")
+        try:
+            self._read(digraph, arc_ids)
+        except TypeError as exc:
+            raise GraphError(f"circuit arc ids must be integers: {exc}") from None
+
+    def _read(self, digraph, arc_ids):
+        """Fill the slots from ``arc_ids``, read once: copied, checked to be
+        ints, and checked to be a closed walk through distinct arcs."""
+        arc_ids = _sequence(arc_ids, "the circuit")
+        check_json_ints((arc_ids,))
         if not arc_ids:
             raise GraphError("a circuit must contain at least one arc")
         if len(set(arc_ids)) != len(arc_ids):
@@ -260,9 +300,11 @@ class CircuitDecomposition:
     __slots__ = ("digraph", "circuits", "fw")
 
     def __init__(self, digraph, circuits):
-        circuits = tuple(circuits)
+        circuits = _sequence(circuits, "the circuit list", GraphError)
         seen = set()
-        for c in circuits:
+        for i, c in enumerate(circuits):
+            if not isinstance(c, DirectedCircuit):
+                raise GraphError(f"circuit {i} is {c!r}, not a DirectedCircuit")
             if c.digraph is not digraph and c.digraph != digraph:
                 raise GraphError("circuit belongs to a different digraph")
             overlap = seen.intersection(c.arc_ids)
@@ -287,6 +329,7 @@ class CircuitDecomposition:
 
     @classmethod
     def from_arc_lists(cls, digraph, lists):
+        lists = _sequence(lists, "the circuit list", GraphError)
         return cls(digraph, [DirectedCircuit(digraph, ids) for ids in lists])
 
     def canonical_set(self):
@@ -298,11 +341,15 @@ class CircuitDecomposition:
 
     @classmethod
     def from_json_dict(cls, digraph, data):
+        circuits = []
         try:
-            check_json_ints(data["circuits"])
-            return cls.from_arc_lists(digraph, data["circuits"])
+            for arc_ids in _sequence(data["circuits"], "the circuit list"):
+                circuit = DirectedCircuit.__new__(DirectedCircuit)
+                circuit._read(digraph, arc_ids)
+                circuits.append(circuit)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad circuits JSON: {exc}") from exc
+        return cls(digraph, circuits)
 
     def __repr__(self):
         return f"CircuitDecomposition({len(self.circuits)} circuits)"
@@ -447,13 +494,13 @@ class UndirectedGraph:
     __slots__ = ("n", "edges", "_incident", "_connected")
 
     def __init__(self, n, edges):
-        edges = tuple((u, v) for u, v in edges)
-        require_ints([(n,), *edges], GraphError, "the vertex count and edge endpoints")
-        if n < 1:
-            raise GraphError(f"vertex count must be positive, got {n}")
+        try:
+            edges = _read_pairs(n, edges, "edge")
+        except TypeError as exc:
+            raise GraphError(
+                f"the vertex count and edge endpoints must be integers: {exc}"
+            ) from None
         for e, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {e} = ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"edge {e} is a loop; orientation input must be loop-free")
         self.n = n

@@ -39,7 +39,7 @@ while profaces and untouched faces pay for none of them.
 
 from itertools import chain
 
-from .digraph import check_json_ints, require_ints
+from .digraph import _sequence, check_json_ints
 from .errors import EmbeddingError, GraphError
 
 
@@ -157,16 +157,21 @@ class OrientedDirectedEmbedding:
     __slots__ = ("digraph", "halves", "_faces", "_antiface_index")
 
     def __init__(self, digraph, rotations):
-        rotations = tuple(map(tuple, rotations))
-        require_ints(rotations, EmbeddingError, "rotation half-arcs")
+        try:
+            self._read(digraph, rotations)
+        except TypeError as exc:
+            raise EmbeddingError(f"rotation half-arcs must be integers: {exc}") from None
+
+    def _read(self, digraph, rotations):
+        """Fill the slots from ``rotations``, read one rotation at a time by
+        ``_blocks``, so no copy of them all is held."""
+        rotations = _sequence(rotations, "the rotation list")
         if len(rotations) != digraph.n:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
             )
         self.digraph = digraph
-        self.halves = tuple(
-            _blocks(digraph, v, rot) for v, rot in enumerate(rotations)
-        )
+        self.halves = tuple([_blocks(digraph, v, rot) for v, rot in enumerate(rotations)])
         self._faces = None
         self._antiface_index = None
 
@@ -280,9 +285,12 @@ class OrientedDirectedEmbedding:
         Only the new rotation is read; every other vertex's halves are
         shared.  The child's faces are traced in full when first read.
         """
-        rotation = tuple(new_rotation)
-        require_ints((rotation,), EmbeddingError, "rotation half-arcs")
-        halves = _blocks(self.digraph, v, rotation)
+        if type(v) is not int or not 0 <= v < self.digraph.n:
+            raise EmbeddingError(f"vertex {v!r} is outside 0..{self.digraph.n - 1}")
+        try:
+            halves = _blocks(self.digraph, v, new_rotation)
+        except TypeError as exc:
+            raise EmbeddingError(f"rotation half-arcs must be integers: {exc}") from None
         child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
         child.digraph = self.digraph
         child.halves = self.halves[:v] + (halves,) + self.halves[v + 1:]
@@ -295,11 +303,12 @@ class OrientedDirectedEmbedding:
 
     @classmethod
     def from_json_dict(cls, digraph, data):
+        embedding = cls.__new__(cls)
         try:
-            check_json_ints(data["rotations"])
-            return cls(digraph, data["rotations"])
+            embedding._read(digraph, data["rotations"])
         except (KeyError, TypeError) as exc:
             raise EmbeddingError(f"bad embedding JSON: {exc}") from exc
+        return embedding
 
     def __eq__(self, other):
         return (
@@ -332,10 +341,17 @@ class _RotationFault(EmbeddingError):
 def _blocks(digraph, v, rotation):
     """``(outgoing, incoming)``: the halves of the rotation's blocks at v.
 
+    The reader of one rotation: it copies the rotation, checks that its
+    items are ints (TypeError naming the first that is not) and splits it.
     Block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
     rotation's first outgoing half; an empty rotation has no blocks.
     ``_check_halves`` checks them.
     """
+    try:
+        rotation = tuple(rotation)
+    except TypeError:
+        raise TypeError(f"the rotation at vertex {v} is {rotation!r}, not a sequence") from None
+    check_json_ints((rotation,))
     turned = rotation[1:] + rotation[:1] if rotation and rotation[0] & 1 else rotation
     halves = turned[0::2], turned[1::2]
     _check_halves(digraph, v, *halves)
@@ -449,6 +465,10 @@ def verify_embedding(embedding, decomposition=None):
     """Check structural validity, face coverage, proface identity, and parity."""
     failures = []
     digraph = embedding.digraph
+    if len(embedding.halves) != digraph.n:
+        failures.append(("rotation-structure",
+                         f"expected {digraph.n} rotations, got {len(embedding.halves)}"))
+        return VerificationReport(failures)
     for v, (outgoing, incoming) in enumerate(embedding.halves):
         try:
             _check_halves(digraph, v, outgoing, incoming)

@@ -166,6 +166,9 @@ def split_circuit_at(decomposition, index, vertex, pieces=2):
     vertex, giving that many circuits; all other circuits carry over.
     """
     digraph = decomposition.digraph
+    count = len(decomposition.circuits)
+    if type(index) is not int or not 0 <= index < count:
+        raise GraphError(f"circuit index {index!r} is outside 0..{count - 1}")
     circuit = decomposition.circuits[index]
     ids = circuit.arc_ids
     cuts = [j for j, a in enumerate(ids) if digraph.tail(a) == vertex]

@@ -340,6 +340,21 @@ def test_verify_flags_rotation_that_does_not_alternate(tournament7):
     assert report.summary() == "FAILED\nalternation: rotation at vertex 1 does not alternate"
 
 
+def test_verify_flags_a_wrong_number_of_stored_halves(tournament7):
+    """``halves`` of the wrong length is a rotation-structure failure, not
+    an IndexError."""
+    digraph, decomposition = tournament7
+    emb = embed_from_decomposition(digraph, decomposition)
+    for halves in (emb.halves * 2, emb.halves[:-1]):
+        broken = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
+        broken.digraph = digraph
+        broken.halves = halves
+        report = verify_embedding(broken, decomposition)
+        assert report.failures == (
+            ("rotation-structure", f"expected 7 rotations, got {len(halves)}"),
+        )
+
+
 class _ForcedFaces(OrientedDirectedEmbedding):
     """Embedding whose traced antifaces are overridden for negative tests.
 

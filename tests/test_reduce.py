@@ -40,6 +40,7 @@ from eulergenus import (
 from eulergenus.embedding import flat_rotation
 from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore, _Reducer
 from eulergenus.surgery import _rewire_three
+from eulergenus.touch import build_touch_graph, classify
 
 from conftest import circulant, nth_state
 from test_reduction_traces import raise_antifaces, random_block_order
@@ -251,6 +252,70 @@ def test_dead_end_no_progress_exemplar(circ11, monkeypatch):
     assert str(err.value) == "case 2.2: the step left the embedding unchanged"
     assert blown == ["no-op"]
     assert err.value.trace.steps == []
+
+
+def test_a_hypothesis_error_inside_a_step_ends_the_run_at_a_dead_end(monkeypatch):
+    """An operation whose precondition fails inside a step ends the run with
+    a dead end that carries every step recorded before it."""
+    from eulergenus import reduce as reduce_module
+
+    digraph = gen_random_dense_eulerian(21, 2, seed=5)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    rng = random.Random("random-21-k2/1")
+    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    _, full = reduce_embedding(start, decomposition, mode=STRICT)
+    case_one = list(itertools.takewhile(lambda step: step.case == "1", full.steps))
+    assert 0 < len(case_one) < len(full.steps)
+
+    refused = HypothesisError("no touch graph today")
+
+    def refusing(embedding):
+        raise refused
+
+    # case-1 steps build no touch graph, so the first other step is refused
+    monkeypatch.setattr(reduce_module, "build_touch_graph", refusing)
+    with pytest.raises(NoProgressError) as err:
+        reduce_embedding(start, decomposition, mode=STRICT)
+    assert str(err.value) == "dead end: no touch graph today"
+    assert err.value.__cause__ is refused
+    assert [step.to_dict() for step in err.value.trace.steps] == [
+        step.to_dict() for step in case_one
+    ]
+
+
+# (order, seed): case 2.1.3's bipartite core route, run on the heaviest pair
+# of a seeded start merged to local irreducibility, stops in the three-
+# neighbour search.  Each start keeps a face with loop vertices, which the
+# route takes as private candidates although they lie on that face alone;
+# the case machine runs 2.1.3 only when no face has loop vertices, and no
+# seeded start was found that reaches the route from there.
+BIPARTITE_ROUTE_OUTCOMES = {
+    (17, 2): "candidate 0 is not on the face plus exactly one other antiface",
+    (19, 1): "candidate 0 is not on the face plus exactly one other antiface",
+    (20, 2): "candidate 1 is not on the face plus exactly one other antiface",
+    (23, 1): "candidate 1 is not on the face plus exactly one other antiface",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(BIPARTITE_ROUTE_OUTCOMES))
+def test_the_bipartite_core_route_on_seeded_irreducible_starts(n, seed):
+    digraph = gen_random_dense_eulerian(n, 2, seed)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    rng = random.Random(f"{n}/{seed}")
+    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    reducer = _Reducer(start, decomposition, validate_steps=False)
+    while reducer.merge_reducible_vertex():
+        pass
+    assert reducer.profile.k >= 1
+    emb = reducer.emb
+    touch = build_touch_graph(emb)
+    p, q = classify(touch).heaviest_pair
+    big, partner = emb.antiface(p), emb.antiface(q)
+    if len(partner.vertex_set()) > len(big.vertex_set()):
+        big, partner = partner, big
+    with pytest.raises(HypothesisError) as err:
+        reducer.bipartite_core_route(touch, big, partner)
+    assert str(err.value) == BIPARTITE_ROUTE_OUTCOMES[n, seed]
 
 
 def test_the_safety_bound_stops_a_run_that_keeps_changing(circ11, monkeypatch):

@@ -593,7 +593,12 @@ def _orient(graph, walks):
         unused.setdefault((u, v) if u < v else (v, u), deque()).append(e)
     direction = [None] * graph.m
     circuits_arcs = []
-    for w_index, walk in enumerate(walks):
+    for w_index, walk in enumerate(_sequence(walks, "the walk list", GraphError)):
+        walk = _sequence(walk, f"walk {w_index}", GraphError)
+        try:
+            check_json_ints((walk,))
+        except TypeError as exc:
+            raise GraphError(f"walk {w_index} vertices must be integers: {exc}") from None
         if len(walk) < 2 or walk[0] != walk[-1]:
             raise GraphError(f"walk {w_index} is not closed")
         seq = []

@@ -18,7 +18,8 @@ blocks.  With the profaces fixed to a circuit decomposition the pairing
 is fixed too (``decomposition_blocks``), and an embedding is just the
 cyclic order of its blocks at each vertex: all it stores is ``halves``,
 the outgoing and the incoming halves of its blocks.  ``_blocks`` splits
-each rotation into them once, when an embedding is built, and
+each rotation into them once, when an embedding is built from rotations,
+``embed_from_decomposition`` builds them straight from the circuits, and
 ``_check_halves`` checks them, then and in ``verify_embedding``.
 ``profaces_are`` and ``successors`` (the map a face follows from arc to
 arc) read them.  ``rotations`` writes them back through ``flat_rotation``,
@@ -170,10 +171,16 @@ class OrientedDirectedEmbedding:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
             )
+        self._fill(digraph,
+                   tuple([_blocks(digraph, v, rot) for v, rot in enumerate(rotations)]))
+
+    def _fill(self, digraph, halves):
+        """Set the slots to already checked ``halves``, with no face traced."""
         self.digraph = digraph
-        self.halves = tuple([_blocks(digraph, v, rot) for v, rot in enumerate(rotations)])
+        self.halves = halves
         self._faces = None
         self._antiface_index = None
+        return self
 
     @property
     def rotations(self):
@@ -291,12 +298,8 @@ class OrientedDirectedEmbedding:
             halves = _blocks(self.digraph, v, new_rotation)
         except TypeError as exc:
             raise EmbeddingError(f"rotation half-arcs must be integers: {exc}") from None
-        child = OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)
-        child.digraph = self.digraph
-        child.halves = self.halves[:v] + (halves,) + self.halves[v + 1:]
-        child._faces = None
-        child._antiface_index = None
-        return child
+        return OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)._fill(
+            self.digraph, self.halves[:v] + (halves,) + self.halves[v + 1:])
 
     def to_json_dict(self):
         return {"rotations": [list(rot) for rot in self.rotations]}
@@ -418,8 +421,15 @@ def embed_from_decomposition(digraph, decomposition):
     """
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
-    blocks = decomposition_blocks(digraph, decomposition)
-    return OrientedDirectedEmbedding(digraph, map(flat_rotation, blocks))
+    fw = decomposition.fw
+    halves = []
+    for v in range(digraph.n):
+        incoming = digraph.in_half_arcs(v)
+        outgoing = tuple([fw[h] for h in incoming])
+        _check_halves(digraph, v, outgoing, incoming)
+        halves.append((outgoing, incoming))
+    return OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)._fill(
+        digraph, tuple(halves))
 
 
 def euler_genus(embedding):

@@ -25,6 +25,11 @@ guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors,
 among them a step that changes nothing and so would only repeat.
 
+Digraphs on one or two vertices take a short route from the same start:
+case-1 merges until no vertex lies on three antifaces, then, on two
+vertices, one interlaced merge closes the path configuration that may be
+left, unless a single arc each way makes its three faces the minimum.
+
 Cost model.  On dense inputs nearly every step is case 1, and the merged
 antiface keeps growing, so the reducer does not re-trace faces for case 1.
 A private core holds the current embedding, its orbit count and a
@@ -45,15 +50,14 @@ The first read of each embedding the core holds checks that its antifaces
 are exactly the core's orbits.
 """
 
-from .digraph import (CircuitDecomposition, Digraph, DirectedCircuit,
-                      _euler_circuits, density_profile, underlying_simple_graph)
-from .embedding import (OrientedDirectedEmbedding, embed_from_decomposition,
-                        flat_rotation, successors, verify_embedding)
+from .digraph import (CircuitDecomposition, DirectedCircuit, _euler_circuits,
+                      density_profile, eulerian_orientation, underlying_simple_graph)
+from .embedding import embed_from_decomposition, successors, verify_embedding
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
-from .interlace import (check_big_moderate, check_diamond_corollary,
-                        check_three_neighbor_corollary, extract_dense_subgraph,
-                        three_neighbor_search)
+from .interlace import (InterlacingCertificate, check_big_moderate,
+                        check_diamond_corollary, check_three_neighbor_corollary,
+                        extract_dense_subgraph, three_neighbor_search)
 from .surgery import _rewire_three, blow_up, merge_interlaced
 from .touch import build_touch_graph, classify
 
@@ -532,7 +536,7 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     _check_input(embedding.digraph, decomposition, mode)
     if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding profaces do not match the decomposition")
-    if embedding.digraph.n <= 2 and len(embedding.antifaces) > 2:
+    if embedding.digraph.n <= 2:
         return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
 
@@ -540,11 +544,11 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
 def small_order_embedding(digraph, decomposition):
     """Minimum-antiface embedding for digraphs on one or two vertices.
 
-    On one vertex, and on two vertices joined by at least two arcs each way,
-    repeated merging reaches at most two antifaces (a three-face remainder
-    is always the path configuration, closed by one interlaced merge).  Two
-    vertices joined by exactly one arc each way split along that 2-cut into
-    two one-vertex problems whose solutions are spliced back together.
+    Case-1 merges run until no vertex lies on three antifaces.  That leaves
+    at most two antifaces, or on two vertices the path configuration: one
+    face on both vertices and one on each vertex alone.  With at least two
+    arcs each way one interlaced merge closes it; with one arc each way its
+    three faces are the minimum.
     """
     if digraph.n > 2:
         raise GraphError("the small-order handler covers one or two vertices")
@@ -557,107 +561,34 @@ def small_order_embedding(digraph, decomposition):
 
 
 def _small_order(embedding, decomposition, validate_steps):
-    """Reduce an embedding on one or two vertices to at most two antifaces,
-    as ``small_order_embedding`` describes; a 2-cut is spliced afresh."""
-    digraph = embedding.digraph
-    if digraph.n == 2:
-        forward = [a for a in range(digraph.m) if digraph.arcs[a] == (0, 1)]
-        backward = [a for a in range(digraph.m) if digraph.arcs[a] == (1, 0)]
-        if len(forward) != len(backward):
-            raise GraphError("the two vertices are joined unequally each way")
-        if len(forward) == 1:
-            return _splice_across_two_cut(digraph, decomposition, forward[0], backward[0])
-
+    """Reduce an embedding on one or two vertices as ``small_order_embedding``
+    describes, continuing from ``embedding``."""
     reducer = _Reducer(embedding, decomposition, validate_steps)
     while reducer.merge_reducible_vertex():
         pass
-    emb, trace = reducer.emb, reducer.trace
-    if len(emb.antifaces) > 2:
-        # locally irreducible on two vertices: must be the path configuration
-        spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
-        single = [f for f in emb.antifaces if len(f.vertex_set()) == 1]
-        if not (digraph.n == 2 and len(spanning) == 1 and len(single) == 2
-                and single[0].vertex_set() != single[1].vertex_set()):
-            raise EmbeddingError(
-                f"{len(emb.antifaces)} locally irreducible antifaces do not form "
-                "the path configuration"
-            )
-        u = min(single[0].vertex_set())
-        w = min(single[1].vertex_set())
-        before = reducer.core.count
-        result = merge_interlaced(emb, spanning[0], single[0], single[1], u, w)
-        reducer.adopt(result.embedding)
-        reducer.record("small-a", "merge_interlaced", {"x": u, "y": w}, before)
-        emb = reducer.emb
-    if len(emb.antifaces) > 2:
-        raise EmbeddingError(f"small-order reduction left {len(emb.antifaces)} antifaces")
-    return emb, trace
-
-
-def _splice_across_two_cut(digraph, decomposition, forward, backward):
-    """Two vertices joined by one arc each way: solve each side with its
-    share of the crossing circuit replaced by a loop, then substitute the
-    crossing arcs back into the blocks."""
-    star = None
-    for circuit in decomposition.circuits:
-        if forward in circuit.arc_ids:
-            star = circuit
-            break
-    if star is None or backward not in star.arc_ids:
-        raise GraphError("no circuit crosses the two-cut both ways")
-    ids = star.arc_ids
-    i = ids.index(forward)
-    rotated = ids[i:] + ids[:i]
-    pf = rotated.index(backward)
-    far_loops = rotated[1:pf]      # loops at vertex 1 between the crossings
-    near_loops = rotated[pf + 1:]  # loops at vertex 0 after returning
-    if any(digraph.arcs[a] != (1, 1) for a in far_loops) or \
-            any(digraph.arcs[a] != (0, 0) for a in near_loops):
-        raise GraphError("the crossing circuit leaves its side between the cut arcs")
-
-    sides = (
-        (0, [a for a in range(digraph.m) if digraph.arcs[a] == (0, 0)], near_loops),
-        (1, [a for a in range(digraph.m) if digraph.arcs[a] == (1, 1)], far_loops),
-    )
-    blocks = []
-    counts = []
-    for vertex, loops, tail_segment in sides:
-        index_of = {a: j for j, a in enumerate(loops)}
-        bridge = len(loops)
-        side_digraph = Digraph(1, [(0, 0)] * (bridge + 1))
-        side_lists = []
-        for circuit in decomposition.circuits:
-            if circuit is star:
-                continue
-            if digraph.tail(circuit.arc_ids[0]) != vertex:
-                continue
-            side_lists.append([index_of[a] for a in circuit.arc_ids])
-        side_lists.append([bridge] + [index_of[a] for a in tail_segment])
-        side_decomposition = CircuitDecomposition.from_arc_lists(side_digraph, side_lists)
-        side_emb, _ = small_order_embedding(side_digraph, side_decomposition)
-        counts.append(len(side_emb.antifaces))
-        # side arc j is loops[j]; the bridge leaves on one cut arc and
-        # arrives on the other
-        out_arc, in_arc = (forward, backward) if vertex == 0 else (backward, forward)
-        leaving, arriving = loops + [out_arc], loops + [in_arc]
-        blocks.append([(2 * leaving[g >> 1], 2 * arriving[h >> 1] + 1)
-                       for g, h in side_emb.blocks_at(0)])
-
-    emb = OrientedDirectedEmbedding(digraph, map(flat_rotation, blocks))
-    report = verify_embedding(emb, decomposition)
-    if not report.ok:
-        raise EmbeddingError(report.summary())
-    if len(emb.antifaces) != counts[0] + counts[1] - 1:
+    emb = reducer.emb
+    if len(emb.antifaces) <= 2:
+        return emb, reducer.trace
+    # locally irreducible on two vertices: must be the path configuration
+    spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
+    single = [f for f in emb.antifaces if len(f.vertex_set()) == 1]
+    if not (len(spanning) == 1 and len(single) == 2
+            and single[0].vertex_set() != single[1].vertex_set()):
         raise EmbeddingError(
-            f"the spliced embedding has {len(emb.antifaces)} antifaces, "
-            f"not {counts[0] + counts[1] - 1}"
+            f"{len(emb.antifaces)} locally irreducible antifaces do not form "
+            "the path configuration"
         )
-    trace = ReductionTrace()
-    trace.metadata["splice"] = {
-        "cut_arcs": [forward, backward],
-        "side_antifaces": counts,
-    }
-    return emb, trace
+    u, w = (min(face.vertex_set()) for face in single)
+    positions = spanning[0].alternation_positions(u, w)
+    if positions is None:
+        # The crossing face is the only face on both vertices, so it holds
+        # every arc between them; u and w fail to interlace on it only when
+        # there is one arc each way.  No merge is left, and each vertex
+        # already sits at its own parity floor, so three is the minimum.
+        return emb, reducer.trace
+    cert = InterlacingCertificate(spanning[0], u, w, positions, *single)
+    reducer.merge_cert(cert, "small-a", "the path configuration does not interlace")
+    return reducer.emb, reducer.trace
 
 
 def _completion_circuits(digraph, leftover):
@@ -709,7 +640,5 @@ def relative_upper_from_partial(digraph, partial, mode=STRICT, validate_steps=Fa
 def undirected_upper_embedding(graph, walks, mode=STRICT, validate_steps=False):
     """Orient an even undirected graph along the given closed walks, then
     reduce the oriented decomposition; the walks become the profaces."""
-    from .digraph import eulerian_orientation
-
     digraph, decomposition = eulerian_orientation(graph, walks)
     return reduce_to_upper_embedding(digraph, decomposition, mode, validate_steps)

@@ -27,6 +27,7 @@ from eulergenus import (
     gen_sts,
     iter_relative_embeddings,
     merge_three_at_vertex,
+    reduce_embedding,
     reduce_to_upper_embedding,
     split_circuit_at,
     split_swap,
@@ -138,6 +139,29 @@ def test_reducer_matches_the_oracle_on_small_instances():
     assert len(emb.antifaces) == summary.min_antifaces == 2
 
     assert time.perf_counter() - started < 60.0
+
+
+def test_best_effort_reaches_the_oracle_minimum_from_every_small_start():
+    """Every start of every decomposition of the one- and two-vertex
+    digraphs with at most five arcs reduces to the oracle minimum, each
+    step verified."""
+    decompositions = starts = 0
+    for digraph in _tiny_eulerian_digraphs():
+        if digraph.m > 5:
+            continue
+        for decomposition in all_decompositions(digraph):
+            decompositions += 1
+            minimum = enumerate_relative_embeddings(digraph, decomposition).min_antifaces
+            for start in iter_relative_embeddings(digraph, decomposition):
+                starts += 1
+                emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT,
+                                              validate_steps=True)
+                assert len(emb.antifaces) == minimum, (
+                    digraph.arcs, [c.arc_ids for c in decomposition.circuits],
+                    start.halves,
+                )
+                assert trace.validate() == []
+    assert (decompositions, starts) == (274, 3460)
 
 
 def _split_swap_moves(emb):

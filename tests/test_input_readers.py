@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulergenus import (
+    BEST_EFFORT,
     CircuitDecomposition,
     Digraph,
     DirectedCircuit,
@@ -17,8 +18,10 @@ from eulergenus import (
     UndirectedGraph,
     embed_from_decomposition,
     euler_circuit,
+    eulerian_orientation,
     gen_rotational_tournament,
     split_circuit_at,
+    undirected_upper_embedding,
 )
 from eulergenus import digraph as digraph_module
 from eulergenus import embedding as embedding_module
@@ -84,6 +87,25 @@ def test_malformed_inputs_raise_library_errors(t7, build, error, message):
     assert str(info.value) == message
 
 
+_TRIANGLE = UndirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize("orient", [
+    eulerian_orientation,
+    lambda graph, walks: undirected_upper_embedding(graph, walks, BEST_EFFORT),
+], ids=["eulerian-orientation", "undirected-upper"])
+@pytest.mark.parametrize("walks, message", [
+    ([[0, "a", 0]], "walk 0 vertices must be integers: 'a' is not an integer"),
+    ([5], "walk 0 is 5, not a sequence"),
+    (None, "the walk list is None, not a sequence"),
+    ([[0, 1, 2, 0.0]], "walk 0 vertices must be integers: 0.0 is not an integer"),
+], ids=["str-vertex", "int-walk", "none", "float-vertex"])
+def test_malformed_walks_raise_graph_errors(orient, walks, message):
+    with pytest.raises(GraphError) as info:
+        orient(_TRIANGLE, walks)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("load, data, message", [
     (lambda d, data: Digraph.from_json_dict(data), {"n": 3, "arcs": [[0, 1, 2]]},
      "bad digraph JSON: arc 0 is [0, 1, 2], not a pair"),
@@ -131,8 +153,9 @@ def _spoiled(draw, valid):
 
 def _entry_points():
     """Per entry point: its error, a valid input, and a call taking the
-    input in place of the valid one; every constructor, every loader and
-    ``with_rotation`` (its vertex and its rotation) are here."""
+    input in place of the valid one; every constructor, every loader,
+    ``with_rotation`` (its vertex and its rotation) and the walks of
+    ``eulerian_orientation`` are here."""
     digraph = gen_rotational_tournament(7)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     emb = embed_from_decomposition(digraph, decomposition)
@@ -159,6 +182,7 @@ def _entry_points():
                           lambda x: CircuitDecomposition.from_json_dict(digraph, x)),
         "embedding-json": (EmbeddingError, {"rotations": rotations},
                            lambda x: OrientedDirectedEmbedding.from_json_dict(digraph, x)),
+        "walks": (GraphError, [[0, 1, 2, 0]], lambda x: eulerian_orientation(_TRIANGLE, x)),
     }
 
 
@@ -229,3 +253,24 @@ def test_an_embedding_is_built_one_rotation_at_a_time(n, bound_mb):
         tracemalloc.stop()
     assert len(emb.halves) == n
     assert peak <= bound_mb * 1e6
+
+
+def test_the_canonical_embedding_is_built_from_its_halves():
+    """``embed_from_decomposition`` builds each vertex's halves straight from
+    the circuits, sharing the digraph's incoming halves, and holds no pair
+    or rotation beside them; the result equals the one read from the
+    circuit-fixed rotations."""
+    digraph = gen_rotational_tournament(201)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    tracemalloc.start()
+    try:
+        emb = embed_from_decomposition(digraph, decomposition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
+    assert all(incoming is digraph.in_half_arcs(v)
+               for v, (_, incoming) in enumerate(emb.halves))
+    blocks = embedding_module.decomposition_blocks(digraph, decomposition)
+    read = OrientedDirectedEmbedding(digraph, map(embedding_module.flat_rotation, blocks))
+    assert emb.halves == read.halves

@@ -627,30 +627,21 @@ def test_small_order_handles_single_vertices(three_loops):
     assert verify_embedding(emb, decomposition).ok
 
 
-def test_small_order_splices_across_a_two_cut():
-    digraph = Digraph(2, [(0, 1), (1, 0), (0, 0), (1, 1)])
-    decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1], [2], [3]])
-    emb, trace = small_order_embedding(digraph, decomposition)
-    splice = trace.metadata["splice"]
-    assert splice["cut_arcs"] == [0, 1]
-    assert len(emb.antifaces) == sum(splice["side_antifaces"]) - 1
-    assert len(emb.antifaces) <= 2
-    assert verify_embedding(emb, decomposition).ok
-
-
-def test_a_failed_two_cut_splice_raises(monkeypatch):
-    """The spliced embedding's only check is an exception, so ``-O`` keeps it."""
-    from eulergenus import reduce as reduce_module
-    from eulergenus.embedding import VerificationReport
-
-    monkeypatch.setattr(
-        reduce_module, "verify_embedding",
-        lambda emb, decomposition=None: VerificationReport([("parity", "forced failure")]),
-    )
-    digraph = Digraph(2, [(0, 1), (1, 0), (0, 0), (1, 1)])
-    decomposition = CircuitDecomposition.from_arc_lists(digraph, [[0, 1], [2], [3]])
-    with pytest.raises(EmbeddingError, match="parity: forced failure"):
-        small_order_embedding(digraph, decomposition)
+def test_a_two_cut_start_is_continued_not_replaced():
+    """One arc each way: the run merges from the caller's start, and its
+    trace begins at the start's antiface count."""
+    digraph = Digraph(2, [(0, 1), (1, 0)] + [(0, 0)] * 3 + [(1, 1)] * 3)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    start = max(iter_relative_embeddings(digraph, decomposition),
+                key=lambda emb: len(emb.antifaces))
+    assert len(start.antifaces) == 7
+    emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT, validate_steps=True)
+    assert trace.steps[0].count_before == 7
+    assert trace.steps[-1].count_after == len(emb.antifaces) == 3
+    assert {step.case for step in trace.steps} == {"1"}
+    assert trace.validate() == []
+    assert "splice" not in trace.metadata
+    assert certify_maximal(emb, digraph, decomposition).passed
 
 
 def test_best_effort_reduces_every_two_vertex_start():

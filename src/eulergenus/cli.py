@@ -16,6 +16,7 @@ reduction gave up, 3 I/O or malformed JSON.
 import argparse
 import json
 import sys
+from functools import cache
 
 from .digraph import CircuitDecomposition, Digraph, euler_circuit
 from .embedding import (OrientedDirectedEmbedding, euler_genus, verify_embedding)
@@ -233,9 +234,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser of every main call: parsing leaves it as it was built."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, EmbeddingError) as exc:

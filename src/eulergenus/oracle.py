@@ -8,9 +8,9 @@ points.  The lowest pair at each vertex is anchored first.
 
 :func:`iter_relative_embeddings` yields the states in lexicographic order,
 a deterministic stream that callers can index.  The tally in
-:func:`enumerate_relative_embeddings` builds no state: it places one vertex
-at a time and counts, once per way the open antiface strands cross the cut
-to the vertices left, how those vertices can close them.
+:func:`enumerate_relative_embeddings` builds no state: it joins one vertex
+at a time in place and counts, once per way the open antiface strands
+cross the cut to the vertices left, how those vertices can close them.
 """
 
 from itertools import permutations, product
@@ -24,7 +24,7 @@ from .errors import EmbeddingError, GraphError, StateSpaceError
 
 def state_count(digraph):
     """Number of embeddings sharing any fixed proface family."""
-    return prod(factorial(digraph.indeg(v) - 1) for v in range(digraph.n) if digraph.indeg(v) > 0)
+    return prod(factorial(d - 1) for d in map(digraph.indeg, range(digraph.n)) if d)
 
 
 def _check_feasible(digraph, decomposition, limit):
@@ -33,28 +33,22 @@ def _check_feasible(digraph, decomposition, limit):
     states = state_count(digraph)
     if states > limit:
         raise StateSpaceError(
-            f"{states} embeddings exceed the enumeration limit of {limit}"
-        )
+            f"{states} embeddings exceed the enumeration limit of {limit}")
     return states
 
 
-def _arrangements(pairs):
-    if not pairs:
-        return [()]
-    head = pairs[0]
-    return [(head,) + rest for rest in permutations(pairs[1:])]
-
-
 def iter_relative_embeddings(digraph, decomposition, limit=10_000_000):
-    """Yield every embedding whose profaces are the given circuits.
+    """Stream every embedding whose profaces are the given circuits,
+    checking the inputs and the limit at the call.
 
     The order is lexicographic in the arrangements, vertex 0 varying
     slowest, and is kept stable because callers pick states by index.
     """
     _check_feasible(digraph, decomposition, limit)
-    options = map(_arrangements, decomposition_blocks(digraph, decomposition))
-    for combo in product(*options):
-        yield OrientedDirectedEmbedding(digraph, map(flat_rotation, combo))
+    options = [[(*pairs[:1], *rest) for rest in permutations(pairs[1:])]
+               for pairs in decomposition_blocks(digraph, decomposition)]
+    return (OrientedDirectedEmbedding(digraph, map(flat_rotation, combo))
+            for combo in product(*options))
 
 
 class OracleSummary:
@@ -83,55 +77,59 @@ class OracleSummary:
         )
 
 
-def _place(outs, ins, order, first, last, log):
-    """Join each block's incoming arc to the next block's outgoing arc,
-    the blocks after block 0 taken in ``order``; returns how many strands
-    this closes into antifaces.
-
-    A strand is an open antiface path: ``first[a]`` is the first arc of
-    the strand ending at arc a, ``last[a]`` the last arc of the strand
-    starting at a.  Each merge of two strands goes to ``log`` to be undone.
-    """
-    closed = 0
-    a = ins[0]
-    for block in order + (0,):
-        g = outs[block]
-        f = first[a]
-        if f == g:
-            closed += 1
-        else:
-            end = last[g]
-            last[f] = end
-            first[end] = f
-            log.append((f, a, end, g))
-        a = ins[block]
-    return closed
-
-
-def _closures(levels, depth, first, last):
-    """How many ways the free vertices from ``depth`` on can close the open
+def _closures(level, first, last, orders=None):
+    """How many ways the vertices from ``level`` on can close the open
     strands, keyed by the number of strands they close.
 
-    ``levels[i]`` holds the i-th free vertex's arcs by block, and for the
-    cut just before it a key getter and the memo of this function; the
-    entry after the last free vertex has the empty cut and its one way.
+    A strand is an open antiface path: ``first[a]`` is the first arc of the
+    strand ending at arc a, ``last[a]`` the last arc of the strand starting
+    at a.  A level is its vertex's block 0 (outgoing, incoming arc), its
+    other blocks as such pairs, the key getter and memo of the cut after
+    it, and the next level.  Each arrangement of the pairs (or of
+    ``orders``) joins the running incoming arc to each outgoing arc, then
+    closes back to block 0; a joined arc's entries stay as they are, so
+    walking the joins back from the last undoes them.
     """
-    outs, ins = levels[depth][:2]
-    cut, memo = levels[depth + 1][2:]
+    g0, a0, pairs, cut, memo, below = level
     tally = {}
-    log = []
-    for order in permutations(range(1, len(outs))):
-        closed = _place(outs, ins, order, first, last, log)
+    for order in orders or permutations(pairs):
+        closed = 0
+        a = a0
+        for g, h in order:
+            f = first[a]
+            if f == g:
+                closed += 1
+            else:
+                end = last[g]
+                last[f] = end
+                first[end] = f
+            a = h
+        f = first[a]
+        if f == g0:
+            closed += 1
+        else:
+            end = last[g0]
+            last[f] = end
+            first[end] = f
         key = cut(first)
         rest = memo.get(key)
         if rest is None:
-            rest = memo[key] = _closures(levels, depth + 1, first, last)
+            rest = memo[key] = _closures(below, first, last)
         for count, ways in rest.items():
             count += closed
             tally[count] = tally.get(count, 0) + ways
-        while log:
-            f, a, end, g = log.pop()
-            last[f] = a
+        g = g0  # walk the joins back, from the last
+        for before, h in reversed(order):
+            f = first[h]
+            if f != g:
+                end = last[g]
+                last[f] = h
+                first[end] = g
+            g = before
+        f = first[a0]
+        if f != g:
+            end = last[g]
+            last[f] = a0
             first[end] = g
     return tally
 
@@ -140,20 +138,20 @@ def _elimination_order(digraph, blocks):
     """The free vertices, of in-degree at least 3, in placing order: each
     next has the most arcs to the vertices placed, ties to the lowest."""
     arcs = digraph.arcs
-    placed = [len(ins) < 3 for _, ins in blocks]
+    placed = [len(pairs) < 3 for pairs in blocks]
     weight = [0] * digraph.n
     for t, h in arcs:
         if placed[t] != placed[h]:
             weight[h if placed[t] else t] += 1
-    left = {v for v in range(digraph.n) if not placed[v]}
+    left = [v for v in range(digraph.n) if not placed[v]]
     order = []
     while left:
-        v = max(left, key=lambda u: (weight[u], -u))
+        v = max(left, key=weight.__getitem__)  # the first maximum: lowest v
         left.remove(v)
         order.append(v)
-        outs, ins = blocks[v]
-        for u in [arcs[a][1] for a in outs] + [arcs[a][0] for a in ins]:
-            weight[u] += 1
+        for g, h in blocks[v]:
+            weight[arcs[g][1]] += 1
+            weight[arcs[h][0]] += 1
     return order
 
 
@@ -164,45 +162,47 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
     local bijection per vertex arrangement.  Placing vertices one at a
     time joins arcs into strands, and the ways the rest can close them
     depend only on how the open strands pair the arcs across the cut.
-    Vertices with one arrangement (in-degree at most 2) are joined up
-    front, the free ones depth first in a greedy order that keeps cuts
-    narrow, and each cut pairing's result is memoised until return.  So
-    the cost follows the distinct cut pairings, not the states:
-    rotational tournament 9 (10,077,696 states) takes under a second, but
-    a single vertex still tries all its arrangements.  Each free vertex
-    at least doubles the state count, so the recursion is fewer than
-    log2(limit) levels deep.
+    Vertices of in-degree at most 2 have one arrangement each, chained into
+    a first level; the free ones follow depth first in a greedy order that
+    keeps cuts narrow, and each cut pairing's result is memoised until
+    return.  So the cost follows the distinct cut pairings, not the states
+    (tournament 9, 10,077,696 states, takes under a second), but a free
+    vertex tries each of its lazily made arrangements.  Each free vertex at
+    least doubles the state count: fewer than log2(limit) levels recurse.
     """
     states = _check_feasible(digraph, decomposition, limit)
-    blocks = [([g >> 1 for g, _ in pairs], [h >> 1 for _, h in pairs])
+    blocks = [[(g >> 1, h >> 1) for g, h in pairs]
               for pairs in decomposition_blocks(digraph, decomposition)]
-    first = list(range(digraph.m))
-    last = list(range(digraph.m))
-    closed = 0
-    for outs, ins in blocks:
-        if 0 < len(ins) < 3:
-            closed += _place(outs, ins, tuple(range(1, len(ins))), first, last, [])
     order = _elimination_order(digraph, blocks)
     stage = [-1] * digraph.n  # the level that places v, -1 up front
     for i, v in enumerate(order):
         stage[v] = i
-    cuts = [[] for _ in order]
+    cuts = [[] for _ in range(len(order) + 1)]  # cut i lies before level i
     for a, (t, h) in enumerate(digraph.arcs):
-        for i in range(stage[t] + 1, stage[h] + 1):
+        i = stage[t] + 1
+        while i <= stage[h]:
             cuts[i].append(a)
-    levels = [(*blocks[v], itemgetter(*cut) if cut else lambda first: (), {})
-              for v, cut in zip(order, cuts)]
-    levels.append((None, None, lambda first: (), {(): {0: 1}}))
-    rest = _closures(levels, 0, first, last) if order else {0: 1}
-    distribution = {closed + count: ways for count, ways in rest.items()}
+            i += 1
+    keys = [itemgetter(*cut) if cut else lambda first: () for cut in cuts]
+    level, memo = None, {(): {0: 1}}  # the empty cut after the last level
+    for v, key in zip(reversed(order), reversed(keys)):
+        level, memo = (*blocks[v][0], blocks[v][1:], key, memo, level), {}
+    # the rigid vertices' joins (incoming, outgoing), chained as one order
+    joins = [(pairs[i - 1][1], pairs[i][0]) for pairs in blocks
+             if 0 < len(pairs) < 3 for i in range(len(pairs))]
+    orders = None
+    if joins:
+        ins, outs = zip(*joins)
+        orders = [tuple(zip(outs, ins[1:]))]
+        level = (outs[-1], ins[0], None, keys[0], memo, level)
+    first, last = list(range(digraph.m)), list(range(digraph.m))
+    distribution = _closures(level, first, last, orders) if level else {0: 1}
     if len({count % 2 for count in distribution}) != 1:
         raise EmbeddingError(
-            f"antiface counts {sorted(distribution)} do not share one parity"
-        )
+            f"antiface counts {sorted(distribution)} do not share one parity")
     if sum(distribution.values()) != states:
         raise EmbeddingError(
-            f"the tally visited {sum(distribution.values())} states, not {states}"
-        )
+            f"the tally visited {sum(distribution.values())} states, not {states}")
     return OracleSummary(distribution, states)
 
 

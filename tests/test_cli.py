@@ -11,6 +11,7 @@ from eulergenus import (CircuitDecomposition, Digraph, GraphError,
                         enumerate_relative_embeddings,
                         euler_circuit, gen_rotational_tournament,
                         reduce_to_upper_embedding)
+from eulergenus import cli
 from eulergenus.cli import main
 
 from conftest import circulant, nth_state
@@ -134,6 +135,28 @@ def test_oracle_limit_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "exceed the enumeration limit" in err
+
+
+def test_options_do_not_carry_over_between_main_calls(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; each call parses afresh."""
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        g, c = _write_three_loops(tmp_path)
+        o = tmp_path / "o.json"
+        argv = ["oracle", "--in", str(g), "--circuits", str(c)]
+        code, out, err = run(argv + ["--limit", "1", "--out", str(o)], capsys)
+        assert code == 2
+        assert "2 embeddings exceed the enumeration limit of 1" in err
+        assert not o.exists()
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("states = 2\n")
+        assert not o.exists()
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_faces_json_and_touch_graph(tmp_path, capsys):

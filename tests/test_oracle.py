@@ -1,6 +1,7 @@
 """Exhaustive state-space enumeration used to certify small instances."""
 
 import gc
+import tracemalloc
 from math import factorial, prod
 
 import pytest
@@ -118,6 +119,16 @@ def test_enumeration_limit_guard(tournament7):
         next(iter_relative_embeddings(digraph, decomposition, limit=5))
 
 
+def test_stream_checks_its_inputs_at_the_call(tournament7, sts7):
+    """Both errors raise before any state is asked for."""
+    digraph, decomposition = tournament7
+    _, sts_decomposition = sts7
+    with pytest.raises(StateSpaceError, match="^128 embeddings exceed the enumeration limit of 5$"):
+        iter_relative_embeddings(digraph, decomposition, limit=5)
+    with pytest.raises(GraphError, match="different digraph"):
+        iter_relative_embeddings(digraph, sts_decomposition)
+
+
 def test_enumeration_rejects_foreign_decompositions(tournament7, sts7):
     t7_digraph, _ = tournament7
     _, sts_decomposition = sts7
@@ -188,6 +199,41 @@ def test_elimination_tally_matches_the_lexicographic_stream(instance):
     summary = enumerate_relative_embeddings(digraph, decomposition)
     assert summary.distribution == _reference_tally(digraph, decomposition)
     assert summary.states == state_count(digraph)
+
+
+def _hub_with_loops(loops):
+    """Vertex 0 with ``loops`` loops and a triangle 0 -> 1 -> 2 -> 0 plus a
+    digon 0 <-> 2: in-degrees loops + 2, 1 and 2."""
+    return Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 0)] + [(0, 0)] * loops)
+
+
+@pytest.mark.parametrize("loops", [4, 5, 6], ids=["indeg6", "indeg7", "indeg8"])
+def test_tally_of_a_wide_vertex_matches_the_stream(loops):
+    """120, 720 and 5,040 arrangements at vertex 0, beside rigid vertices;
+    the hypothesis property caps in-degree at 5."""
+    digraph = _hub_with_loops(loops)
+    assert state_count(digraph) == factorial(loops + 1)
+    one_circuit = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    loops_apart = CircuitDecomposition.from_arc_lists(
+        digraph, [[0, 1, 2], [3, 4]] + [[a] for a in range(5, digraph.m)])
+    for decomposition in (one_circuit, loops_apart):
+        summary = enumerate_relative_embeddings(digraph, decomposition)
+        assert summary.distribution == _reference_tally(digraph, decomposition)
+
+
+def test_tally_of_one_vertex_keeps_no_arrangements():
+    """Arrangements are made one at a time: 40,320 of them fit in 64 KB,
+    where building them all took megabytes."""
+    digraph = Digraph(1, [(0, 0)] * 9)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    tracemalloc.start()
+    try:
+        summary = enumerate_relative_embeddings(digraph, decomposition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.states == 40320
+    assert peak < 64 * 1024
 
 
 def test_tally_without_arcs():

@@ -45,19 +45,6 @@ def _ids(size):
 _shared_pairs = {}
 
 
-def mate(h):
-    """Other half of the same arc."""
-    return h ^ 1
-
-
-def arc_of(h):
-    return h >> 1
-
-
-def is_outgoing(h):
-    return (h & 1) == 0
-
-
 def check_json_ints(rows):
     """Raise TypeError unless every item of every row is a JSON integer; a
     ``bool`` is refused although it subclasses ``int``.  The readers below
@@ -154,9 +141,6 @@ class Digraph:
     def tail(self, a):
         return self.arcs[a][0]
 
-    def head(self, a):
-        return self.arcs[a][1]
-
     def half_arc_vertex(self, h):
         """Vertex at which half-arc h sits."""
         t, hd = self.arcs[h >> 1]
@@ -239,11 +223,6 @@ def _spans(n, pairs):
     return count == n
 
 
-def build_digraph(n, arcs):
-    """Validate and construct a Digraph."""
-    return Digraph(n, arcs)
-
-
 class DirectedCircuit:
     """Closed directed walk through distinct arcs, stored as arc ids."""
 
@@ -280,10 +259,6 @@ class DirectedCircuit:
 
     def __len__(self):
         return len(self.arc_ids)
-
-    def vertices(self):
-        """Tail of every arc, in walk order (with multiplicity)."""
-        return tuple(self.digraph.tail(a) for a in self.arc_ids)
 
     def canonical(self):
         """Rotation starting at the minimum arc id; arc ids are distinct."""
@@ -331,10 +306,6 @@ class CircuitDecomposition:
     def from_arc_lists(cls, digraph, lists):
         lists = _sequence(lists, "the circuit list", GraphError)
         return cls(digraph, [DirectedCircuit(digraph, ids) for ids in lists])
-
-    def canonical_set(self):
-        """Set of canonical arc tuples, for order-insensitive comparison."""
-        return frozenset(c.canonical() for c in self.circuits)
 
     def to_json_dict(self):
         return {"circuits": [list(c.arc_ids) for c in self.circuits]}
@@ -456,36 +427,6 @@ def _euler_circuits(digraph, out):
         arc_seq.reverse()
         circuits.append(DirectedCircuit(digraph, arc_seq))
     return circuits
-
-
-def greedy_circuit_decomposition(digraph):
-    """Peel circuits greedily: from the lowest unused arc, walk the lowest
-    unused outgoing half-arc until the walk closes at its starting tail."""
-    if not digraph.is_balanced():
-        bad = [v for v in range(digraph.n) if digraph.indeg(v) != digraph.outdeg(v)]
-        raise GraphError(f"digraph is not balanced at vertices {bad[:8]}")
-    if digraph.m == 0:
-        raise GraphError("digraph has no arcs")
-    used = [False] * digraph.m
-    next_free = [0] * digraph.n
-    circuits = []
-    for a0 in range(digraph.m):
-        if used[a0]:
-            continue
-        start = digraph.tail(a0)
-        seq = [a0]
-        used[a0] = True
-        v = digraph.head(a0)
-        while v != start:
-            outs = digraph.out_half_arcs(v)
-            while used[outs[next_free[v]] >> 1]:
-                next_free[v] += 1
-            a = outs[next_free[v]] >> 1
-            used[a] = True
-            seq.append(a)
-            v = digraph.head(a)
-        circuits.append(DirectedCircuit(digraph, seq))
-    return CircuitDecomposition(digraph, circuits)
 
 
 class UndirectedGraph:

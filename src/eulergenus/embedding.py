@@ -104,10 +104,6 @@ class FaceWalk:
     def corner_positions(self, v):
         return tuple(j for j, c in enumerate(self.corners) if c == v)
 
-    def arrival_half(self, j):
-        """Incoming half-arc on which the face reaches corner j."""
-        return self.walk[j] | 1
-
     def alternation_positions(self, x, y):
         """Four corner positions in cyclic order alternating x, y, x, y.
 
@@ -407,11 +403,6 @@ def decomposition_blocks(digraph, decomposition):
     return [[(fw[h], h) for h in digraph.in_half_arcs(v)] for v in range(digraph.n)]
 
 
-def trace_faces(embedding):
-    """Both face families of an embedding, each sorted by canonical walk."""
-    return embedding._trace()
-
-
 def embed_from_decomposition(digraph, decomposition):
     """Canonical embedding whose profaces are exactly the given circuits.
 
@@ -487,7 +478,7 @@ def verify_embedding(embedding, decomposition=None):
     if failures:
         return VerificationReport(failures)
 
-    profaces, antifaces = trace_faces(embedding)
+    profaces, antifaces = embedding._trace()
     outgoing = set(range(0, 2 * digraph.m, 2))
     for color, faces in (("pro", profaces), ("anti", antifaces)):
         covered = list(chain.from_iterable(f.walk for f in faces))

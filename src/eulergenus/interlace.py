@@ -10,8 +10,6 @@ consumes.  Searches are deterministic: all scans run in ascending position
 or vertex order.
 """
 
-from collections import deque
-
 from .digraph import density_profile, underlying_simple_graph
 from .errors import EmbeddingError, GraphError, HypothesisError, LocalIrreducibilityError
 
@@ -86,19 +84,6 @@ class TypeTable:
     def edge_count(self):
         """One edge per vertex: a loop or a link."""
         return len(self.membership)
-
-    def is_connected(self):
-        if len(self.nodes) <= 1:
-            return True
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            key = queue.popleft()
-            for other in self._neighbors[key]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return len(seen) == len(self.nodes)
 
 
 class InterlacingCertificate:

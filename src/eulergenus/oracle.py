@@ -7,13 +7,14 @@ around each vertex, so the state space has exactly prod (indeg(v) - 1)!
 points.  The lowest pair at each vertex is anchored first.
 
 :func:`iter_relative_embeddings` yields the states in lexicographic order,
-a deterministic stream that callers can index.  The tally in
-:func:`enumerate_relative_embeddings` builds no state: it joins one vertex
-at a time in place and counts, once per way the open antiface strands
-cross the cut to the vertices left, how those vertices can close them.
+a deterministic stream that callers can index, made one state at a time.
+The tally in :func:`enumerate_relative_embeddings` builds no state: it
+joins one vertex at a time in place and counts, once per way the open
+antiface strands cross the cut to the vertices left, how those vertices
+can close them.
 """
 
-from itertools import permutations, product
+from itertools import islice, permutations
 from math import factorial, prod
 from operator import itemgetter
 
@@ -45,10 +46,27 @@ def iter_relative_embeddings(digraph, decomposition, limit=10_000_000):
     slowest, and is kept stable because callers pick states by index.
     """
     _check_feasible(digraph, decomposition, limit)
-    options = [[(*pairs[:1], *rest) for rest in permutations(pairs[1:])]
-               for pairs in decomposition_blocks(digraph, decomposition)]
-    return (OrientedDirectedEmbedding(digraph, map(flat_rotation, combo))
-            for combo in product(*options))
+    return _stream(digraph, decomposition_blocks(digraph, decomposition))
+
+
+def _stream(digraph, blocks):
+    """An odometer whose wheels are the vertices of in-degree at least 3,
+    the last turning fastest through its lazily made arrangements; a wheel
+    that wraps round carries to the one before it."""
+    rotations = list(map(flat_rotation, blocks))  # each first arrangement
+    wheels = [v for v in reversed(range(digraph.n)) if len(blocks[v]) > 2]
+    later = {v: islice(permutations(blocks[v][1:]), 1, None) for v in wheels}
+    while True:
+        yield OrientedDirectedEmbedding(digraph, rotations)
+        for v in wheels:
+            rest = next(later[v], None)
+            if rest is not None:
+                rotations[v] = flat_rotation((blocks[v][0], *rest))
+                break
+            later[v] = islice(permutations(blocks[v][1:]), 1, None)
+            rotations[v] = flat_rotation(blocks[v])
+        else:
+            return
 
 
 class OracleSummary:

@@ -541,8 +541,8 @@ def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
     return _Reducer(embedding, decomposition, validate_steps).run()
 
 
-def small_order_embedding(digraph, decomposition):
-    """Minimum-antiface embedding for digraphs on one or two vertices.
+def _small_order(embedding, decomposition, validate_steps):
+    """Reduce an embedding on one or two vertices from where it stands.
 
     Case-1 merges run until no vertex lies on three antifaces.  That leaves
     at most two antifaces, or on two vertices the path configuration: one
@@ -550,19 +550,6 @@ def small_order_embedding(digraph, decomposition):
     arcs each way one interlaced merge closes it; with one arc each way its
     three faces are the minimum.
     """
-    if digraph.n > 2:
-        raise GraphError("the small-order handler covers one or two vertices")
-    if not digraph.is_eulerian():
-        raise GraphError("digraph is not eulerian")
-    if decomposition.digraph != digraph:
-        raise GraphError("decomposition belongs to a different digraph")
-    return _small_order(embed_from_decomposition(digraph, decomposition),
-                        decomposition, validate_steps=False)
-
-
-def _small_order(embedding, decomposition, validate_steps):
-    """Reduce an embedding on one or two vertices as ``small_order_embedding``
-    describes, continuing from ``embedding``."""
     reducer = _Reducer(embedding, decomposition, validate_steps)
     while reducer.merge_reducible_vertex():
         pass

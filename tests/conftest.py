@@ -56,6 +56,13 @@ def all_decompositions(digraph):
             yield CircuitDecomposition.from_arc_lists(digraph, circuits)
 
 
+def circuit_set(decomposition):
+    """The decomposition's circuits as a set of arc tuples, each turned to
+    start at its least arc, for comparisons that ignore circuit order and
+    starting arc."""
+    return frozenset(c.canonical() for c in decomposition.circuits)
+
+
 def nth_state(digraph, decomposition, index):
     """The index-th embedding in enumeration order over the fixed profaces."""
     for i, emb in enumerate(iter_relative_embeddings(digraph, decomposition, 10**7)):

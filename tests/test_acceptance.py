@@ -1,5 +1,6 @@
 """End-to-end checks tying generators, reducer, oracle, and searches together."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from eulergenus import (
     CircuitDecomposition,
     Digraph,
     HypothesisError,
+    NoProgressError,
     division_search,
     enumerate_relative_embeddings,
     euler_circuit,
@@ -162,6 +164,55 @@ def test_best_effort_reaches_the_oracle_minimum_from_every_small_start():
                 )
                 assert trace.validate() == []
     assert (decompositions, starts) == (274, 3460)
+
+
+def _three_vertex_eulerian_digraphs(max_arcs):
+    """Every connected balanced multiset of at most ``max_arcs`` arcs on
+    three vertices, loops and parallel arcs allowed, once up to relabelling."""
+    kinds = list(itertools.product(range(3), repeat=2))
+    seen = set()
+    for m in range(1, max_arcs + 1):
+        for arcs in itertools.combinations_with_replacement(kinds, m):
+            least = min(tuple(sorted((p[t], p[h]) for t, h in arcs))
+                        for p in itertools.permutations(range(3)))
+            if least not in seen:
+                seen.add(least)
+                digraph = Digraph(3, least)
+                if digraph.is_eulerian():
+                    yield digraph
+
+
+def test_best_effort_on_every_three_vertex_start_ends_at_a_count_it_may():
+    """Every start of every decomposition of every three-vertex eulerian
+    digraph with at most six arcs, each step verified: a run finishes or
+    raises NoProgressError, and either way its last count is at least the
+    tally's minimum and of the same parity."""
+    digraphs = decompositions = 0
+    outcomes = {}
+    for digraph in _three_vertex_eulerian_digraphs(6):
+        digraphs += 1
+        for decomposition in all_decompositions(digraph):
+            decompositions += 1
+            minimum = enumerate_relative_embeddings(digraph, decomposition).min_antifaces
+            for start in iter_relative_embeddings(digraph, decomposition):
+                try:
+                    emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT,
+                                                  validate_steps=True)
+                except NoProgressError as exc:
+                    outcome = "dead end"
+                    steps = exc.trace.steps
+                    count = steps[-1].count_after if steps else len(start.antifaces)
+                else:
+                    outcome = "finished"
+                    count = len(emb.antifaces)
+                    assert trace.validate() == []
+                witness = (digraph.arcs, [c.arc_ids for c in decomposition.circuits],
+                           start.halves, outcome)
+                assert count >= minimum and (count - minimum) % 2 == 0, witness
+                at = "minimum" if count == minimum else "above"
+                outcomes[outcome, at] = outcomes.get((outcome, at), 0) + 1
+    assert (digraphs, decompositions) == (22, 201)
+    assert outcomes == {("finished", "minimum"): 500, ("dead end", "minimum"): 37}
 
 
 def _split_swap_moves(emb):

@@ -19,12 +19,11 @@ from eulergenus import (
     euler_genus,
     gen_rotational_tournament,
     iter_relative_embeddings,
-    trace_faces,
     verify_embedding,
 )
 from eulergenus.surgery import _rewire_three
 
-from conftest import nth_state
+from conftest import circuit_set, nth_state
 
 
 def test_face_walk_canonicalizes_to_min_rotation(three_loops):
@@ -45,7 +44,6 @@ def test_face_walk_accessors(three_loops):
     assert face.visits(0)
     assert face.arcs() == (0, 2, 1)
     assert face.vertex_set() == frozenset({0})
-    assert [face.arrival_half(j) for j in range(3)] == [1, 5, 3]
 
 
 def test_alternation_positions_exist_for_interlaced_visits():
@@ -121,7 +119,7 @@ def test_manual_rotation_traces_expected_faces(three_loops):
     emb = OrientedDirectedEmbedding(digraph, [(2, 1, 0, 5, 4, 3)])
     assert [f.walk for f in emb.profaces] == [(0, 2, 4)]
     assert [f.walk for f in emb.antifaces] == [(0,), (2,), (4,)]
-    pro, anti = trace_faces(emb)
+    pro, anti = emb._trace()
     assert [f.key for f in pro] == [0]
     assert [f.key for f in anti] == [0, 2, 4]
 
@@ -129,7 +127,7 @@ def test_manual_rotation_traces_expected_faces(three_loops):
 def test_embed_from_decomposition_realizes_the_circuits(three_loops):
     digraph, decomposition = three_loops
     emb = embed_from_decomposition(digraph, decomposition)
-    assert {f.arcs() for f in emb.profaces} == decomposition.canonical_set()
+    assert {f.arcs() for f in emb.profaces} == circuit_set(decomposition)
     assert [f.walk for f in emb.antifaces] == [(0, 4, 2)]
 
 
@@ -143,7 +141,7 @@ def test_every_arc_lies_on_one_face_of_each_color(tournament7):
 
 def test_profaces_are_invariant_across_oracle_states(double_digon):
     digraph, decomposition = double_digon
-    want = decomposition.canonical_set()
+    want = circuit_set(decomposition)
     for emb in iter_relative_embeddings(digraph, decomposition, 10**6):
         assert {f.arcs() for f in emb.profaces} == want
 
@@ -209,11 +207,11 @@ def test_constructors_refuse_non_integer_ids(tournament7, build, error, message)
 def test_a_rewired_child_is_traced_once_when_first_read(monkeypatch):
     digraph = gen_rotational_tournament(9)
     emb = _random_start(digraph, random.Random(3))
-    trace_faces(emb)
+    emb._trace()
     ins = [h for _, h in emb.blocks_at(0)]
     child = _rewire_three(emb, 0, *ins[:3])
     assert child._faces is None
-    fresh = trace_faces(OrientedDirectedEmbedding(digraph, child.rotations))
+    fresh = OrientedDirectedEmbedding(digraph, child.rotations)._trace()
 
     traced = []
     original = OrientedDirectedEmbedding._trace

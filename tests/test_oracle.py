@@ -1,6 +1,7 @@
 """Exhaustive state-space enumeration used to certify small instances."""
 
 import gc
+import itertools
 import tracemalloc
 from math import factorial, prod
 
@@ -23,8 +24,9 @@ from eulergenus import (
     state_count,
 )
 from eulergenus import oracle
+from eulergenus.embedding import decomposition_blocks, flat_rotation
 
-from conftest import all_decompositions, circulant
+from conftest import all_decompositions, circuit_set, circulant
 
 
 def _reference_tally(digraph, decomposition):
@@ -51,7 +53,7 @@ def test_iterator_length_matches_state_count(three_loops, four_loops):
         assert len(states) == state_count(digraph)
         # both read decomposition_blocks; the first state keeps their order
         assert states[0].rotations == embed_from_decomposition(digraph, decomposition).rotations
-        want = decomposition.canonical_set()
+        want = circuit_set(decomposition)
         for emb in states:
             assert {f.arcs() for f in emb.profaces} == want
 
@@ -234,6 +236,40 @@ def test_tally_of_one_vertex_keeps_no_arrangements():
         tracemalloc.stop()
     assert summary.states == 40320
     assert peak < 64 * 1024
+
+
+def test_stream_keeps_no_arrangement_lists():
+    """The call and its first state fit in 64 KB on one vertex with 9 loops,
+    where listing its 40,320 arrangements up front took 4.84 MB."""
+    digraph = Digraph(1, [(0, 0)] * 9)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    tracemalloc.start()
+    try:
+        stream = iter_relative_embeddings(digraph, decomposition)
+        first = next(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.rotations == embed_from_decomposition(digraph, decomposition).rotations
+    assert peak < 64 * 1024
+
+
+def test_stream_is_the_product_of_the_arrangement_lists():
+    """Free vertices of in-degree 3, 4 and 3 around a rigid one of
+    in-degree 2: the stream is the product over each vertex's list of
+    arrangements, vertex 0 varying slowest."""
+    digraph = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]
+                      + [(0, 0)] * 2 + [(1, 1)] + [(2, 2)] * 3 + [(3, 3)] * 2)
+    one_circuit = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    loops_apart = CircuitDecomposition.from_arc_lists(
+        digraph, [[0, 1, 2, 3]] + [[a] for a in range(4, digraph.m)])
+    for decomposition in (one_circuit, loops_apart):
+        options = [[flat_rotation((*pairs[:1], *rest))
+                    for rest in itertools.permutations(pairs[1:])]
+                   for pairs in decomposition_blocks(digraph, decomposition)]
+        want = list(itertools.product(*options))
+        assert len(want) == state_count(digraph) == 24
+        assert [emb.rotations for emb in iter_relative_embeddings(digraph, decomposition)] == want
 
 
 def test_tally_without_arcs():

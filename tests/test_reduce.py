@@ -32,7 +32,6 @@ from eulergenus import (
     reduce_embedding,
     reduce_to_upper_embedding,
     relative_upper_from_partial,
-    small_order_embedding,
     undirected_euler_circuit,
     undirected_upper_embedding,
     verify_embedding,
@@ -42,7 +41,7 @@ from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore, _Red
 from eulergenus.surgery import _rewire_three
 from eulergenus.touch import build_touch_graph, classify
 
-from conftest import circulant, nth_state
+from conftest import circuit_set, circulant, nth_state
 from test_reduction_traces import raise_antifaces, random_block_order
 
 
@@ -440,7 +439,7 @@ def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
         v = face.corners[rng.randrange(len(face))]
         positions = face.corner_positions(v)
         if len(positions) >= 3:
-            arrivals = [face.arrival_half(j) for j in rng.sample(positions, 3)]
+            arrivals = [face.walk[j] | 1 for j in rng.sample(positions, 3)]
             emb = _rewire_three(emb, v, *arrivals)
     stepped = _AntifaceCore(emb)
     unbuilt = _AntifaceCore(emb)
@@ -498,7 +497,7 @@ def test_the_block_pairing_check_matches_the_traced_profaces(graph_index, seed, 
         blocks[i], blocks[j] = (gj, hi), (gi, hj)
         rotations[v] = tuple(h for block in blocks for h in block)
         emb = OrientedDirectedEmbedding(digraph, rotations)
-    matches = {f.arcs() for f in emb.profaces} == decomposition.canonical_set()
+    matches = {f.arcs() for f in emb.profaces} == circuit_set(decomposition)
     try:
         reduce_embedding(OrientedDirectedEmbedding(digraph, rotations), decomposition)
         rejected = False
@@ -606,23 +605,16 @@ def test_reduce_embedding_guards_the_profaces(double_digon, four_loops):
         reduce_embedding(emb, other)
 
 
-def test_small_order_rejects_large_or_uneulerian_inputs(tournament7):
-    digraph, decomposition = tournament7
-    with pytest.raises(GraphError, match="one or two vertices"):
-        small_order_embedding(digraph, decomposition)
-
+def test_small_orders_reject_foreign_decompositions():
     loop = Digraph(1, [(0, 0)])
     loop_dec = CircuitDecomposition.from_arc_lists(loop, [[0]])
-    unbalanced = Digraph(2, [(0, 1)])
-    with pytest.raises(GraphError, match="not eulerian"):
-        small_order_embedding(unbalanced, loop_dec)
     with pytest.raises(GraphError, match="different digraph"):
-        small_order_embedding(Digraph(1, [(0, 0), (0, 0)]), loop_dec)
+        reduce_to_upper_embedding(Digraph(1, [(0, 0), (0, 0)]), loop_dec, BEST_EFFORT)
 
 
 def test_small_order_handles_single_vertices(three_loops):
     digraph, decomposition = three_loops
-    emb, trace = small_order_embedding(digraph, decomposition)
+    emb, trace = reduce_to_upper_embedding(digraph, decomposition, BEST_EFFORT)
     assert len(emb.antifaces) == 1
     assert verify_embedding(emb, decomposition).ok
 

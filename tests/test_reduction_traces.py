@@ -74,7 +74,7 @@ def raise_antifaces(embedding, rng):
         positions = face.corner_positions(v)
         if len(positions) < 3:
             continue
-        arrivals = [face.arrival_half(j) for j in rng.sample(positions, 3)]
+        arrivals = [face.walk[j] | 1 for j in rng.sample(positions, 3)]
         candidate = _rewire_three(embedding, v, *arrivals)
         if len(candidate.antifaces) > len(embedding.antifaces):
             embedding = candidate

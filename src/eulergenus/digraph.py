@@ -355,10 +355,11 @@ class DensityProfile:
 
 
 def density_profile(digraph):
-    """Compute k = n - 1 - min_degree and the density flag.
+    """Compute k = n - 1 - min_degree and the density flag
+    5 * min_degree >= 4n + 2.
 
-    The two equivalent forms of the flag (5 * min_degree >= 4n + 2 and
-    n >= 5k + 7) are both evaluated and must agree.
+    With min_degree = n - 1 - k the flag reads 5n - 5 - 5k >= 4n + 2, that
+    is n >= 5k + 7, the paper's other form of the same bound.
 
     The profile is computed once per digraph and the same object is
     returned on every later call, so callers must not modify it.
@@ -369,11 +370,8 @@ def density_profile(digraph):
         adj = underlying_simple_graph(digraph)
         min_degree = min(len(neighbors) for neighbors in adj)
         k = n - 1 - min_degree
-        dense_by_degree = 5 * min_degree >= 4 * n + 2
-        dense_by_defect = n >= 5 * k + 7
-        if dense_by_degree != dense_by_defect:
-            raise GraphError("the two forms of the density flag disagree")
-        profile = digraph._profile = DensityProfile(n, min_degree, k, dense_by_degree)
+        dense = 5 * min_degree >= 4 * n + 2
+        profile = digraph._profile = DensityProfile(n, min_degree, k, dense)
     return profile
 
 

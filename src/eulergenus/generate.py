@@ -31,11 +31,24 @@ def gen_kn_minus_pm(n):
     oriented along its euler circuit so every vertex is balanced."""
     if n < 4 or n % 2 == 1:
         raise GraphError(f"matching removal needs even order >= 4, got {n}")
-    half = n // 2
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if v - u != half]
+    return _complete_minus_classes(n, (), True)
+
+
+def _complete_minus_classes(n, removed, drop_matching):
+    """K_n minus the difference classes in ``removed`` and, when
+    ``drop_matching``, the antipodal matching of even ``n``, oriented along
+    its euler circuit."""
+    half = n // 2 if n % 2 == 0 else None
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            diff = min(v - u, n - (v - u))
+            if diff not in removed and not (drop_matching and diff == half):
+                edges.append((u, v))
     graph = UndirectedGraph(n, edges)
-    walk = undirected_euler_circuit(graph)
-    digraph, _ = _orient(graph, [walk])
+    if not graph.is_connected():
+        raise GraphError("removed difference classes disconnect the graph; retry with another seed")
+    digraph, _ = _orient(graph, [undirected_euler_circuit(graph)])
     return digraph
 
 
@@ -56,18 +69,13 @@ def steiner_triple_system(n):
     if n < 3 or n % 6 not in (1, 3):
         raise GraphError(f"a triple system needs n = 1 or 3 (mod 6) and n >= 3, got {n}")
     triples = []
+    point = lambda x, i: 3 * x + i
     if n % 6 == 3:
         t = (n - 3) // 6
         q = 2 * t + 1
         halve = _halving(q)
-        point = lambda x, i: 3 * x + i
         for x in range(q):
             triples.append((point(x, 0), point(x, 1), point(x, 2)))
-        for x in range(q):
-            for y in range(x + 1, q):
-                z = halve(x + y)
-                for i in range(3):
-                    triples.append((point(x, i), point(y, i), point(z, (i + 1) % 3)))
     else:
         t = (n - 1) // 6
         q = 2 * t
@@ -76,18 +84,17 @@ def steiner_triple_system(n):
             s %= q
             return s // 2 if s % 2 == 0 else t + (s - 1) // 2
 
-        point = lambda x, i: 3 * x + i
         extra = n - 1
         for x in range(t):
             triples.append((point(x, 0), point(x, 1), point(x, 2)))
         for x in range(t):
             for i in range(3):
                 triples.append((extra, point(t + x, i), point(x, (i + 1) % 3)))
-        for x in range(q):
-            for y in range(x + 1, q):
-                z = halve(x + y)
-                for i in range(3):
-                    triples.append((point(x, i), point(y, i), point(z, (i + 1) % 3)))
+    for x in range(q):
+        for y in range(x + 1, q):
+            z = halve(x + y)
+            for i in range(3):
+                triples.append((point(x, i), point(y, i), point(z, (i + 1) % 3)))
     if len(triples) != n * (n - 1) // 6:
         raise GraphError(f"{len(triples)} triples do not cover the pairs of {n} points once")
     return triples
@@ -141,22 +148,7 @@ def gen_random_dense_eulerian(n, k_target=0, seed=0):
     if pairs_needed > spare_classes:
         raise GraphError(f"offset {k_target} exceeds the available difference classes")
     removed = set(rng.sample(range(1, spare_classes + 1), pairs_needed))
-    half = n // 2 if n % 2 == 0 else None
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            diff = min(v - u, n - (v - u))
-            if diff in removed:
-                continue
-            if use_matching and diff == half:
-                continue
-            edges.append((u, v))
-    graph = UndirectedGraph(n, edges)
-    if not graph.is_connected():
-        raise GraphError("removed difference classes disconnect the graph; retry with another seed")
-    walk = undirected_euler_circuit(graph)
-    digraph, _ = _orient(graph, [walk])
-    return digraph
+    return _complete_minus_classes(n, removed, use_matching)
 
 
 def split_circuit_at(decomposition, index, vertex, pieces=2):

@@ -25,10 +25,11 @@ guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors,
 among them a step that changes nothing and so would only repeat.
 
-Digraphs on one or two vertices take a short route from the same start:
-case-1 merges until no vertex lies on three antifaces, then, on two
-vertices, one interlaced merge closes the path configuration that may be
-left, unless a single arc each way makes its three faces the minimum.
+Both entry points end in ``_Reducer.run``, which sends digraphs on one or
+two vertices down a short route from the same start: case-1 merges until
+no vertex lies on three antifaces, then, on two vertices, one interlaced
+merge closes the path configuration that may be left, unless a single arc
+each way makes its three faces the minimum.
 
 Cost model.  On dense inputs nearly every step is case 1, and the merged
 antiface keeps growing, so the reducer does not re-trace faces for case 1.
@@ -337,6 +338,8 @@ class _Reducer:
         return True
 
     def run(self):
+        if self.digraph.n <= 2:
+            return _small_order(self)
         budget = 8 * max(self.core.count, 1)
         while self.core.count > 2:
             if len(self.trace.steps) >= budget:
@@ -421,20 +424,14 @@ class _Reducer:
 
     def case_no_loops_star(self, touch, shape):
         center_key = shape.star_center
-        center = self.emb.antiface(center_key)
-        k = self.profile.k
-        partner_key, partner_overlap = None, 0
-        for other in touch.neighbors(center_key):
-            count = len(touch.link_vertices(center_key, other))
-            if count > partner_overlap:
-                partner_key, partner_overlap = other, count
-        if partner_key is None:
-            self.fail("case 2.2: the star center touches no other face")
-        pool = touch.two_face_vertices(center_key)
-        if len(pool) - partner_overlap >= k + 3:
-            cert = check_three_neighbor_corollary(self.emb, center)
-            self.merge_cert(cert, "2.2", "margin route inapplicable despite the margin")
+        cert = check_three_neighbor_corollary(self.emb, self.emb.antiface(center_key))
+        if cert is not None:
+            self.merge_cert(cert, "2.2", None)
             return
+        # every link holds the center, so the heaviest pair is the center and
+        # its heaviest neighbor, lowest key on ties
+        p, q = shape.heaviest_pair
+        partner_key = q if p == center_key else p
         third_key = next(
             key for key in touch.nodes if key not in (center_key, partner_key)
         )
@@ -491,13 +488,12 @@ class _Reducer:
 
 
 def _check_input(digraph, decomposition, mode):
-    """Reject a decomposition of another digraph, an unbalanced or
-    disconnected digraph, an unknown mode, and in strict mode a digraph
-    outside the theorem's hypotheses of order at least 7 and density."""
+    """Reject a decomposition of another digraph, a disconnected digraph, an
+    unknown mode, and in strict mode a digraph outside the theorem's
+    hypotheses of order at least 7 and density.  A decomposition puts every
+    arc on a closed circuit, so the digraph it belongs to is balanced."""
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
-    if not digraph.is_balanced():
-        raise GraphError("digraph is not balanced")
     if not digraph.is_connected():
         raise GraphError("digraph is not connected")
     if mode not in (STRICT, BEST_EFFORT):
@@ -523,25 +519,20 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
     """
     _check_input(digraph, decomposition, mode)
     embedding = embed_from_decomposition(digraph, decomposition)
-    if digraph.n <= 2:
-        return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
 
 
 def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
                      validate_steps=False):
     """Continue reducing an existing embedding whose profaces are already
-    the given circuits.  Same contract as reduce_to_upper_embedding, and
-    digraphs on one or two vertices take the same small-order route."""
+    the given circuits.  Same contract as reduce_to_upper_embedding."""
     _check_input(embedding.digraph, decomposition, mode)
     if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding profaces do not match the decomposition")
-    if embedding.digraph.n <= 2:
-        return _small_order(embedding, decomposition, validate_steps)
     return _Reducer(embedding, decomposition, validate_steps).run()
 
 
-def _small_order(embedding, decomposition, validate_steps):
+def _small_order(reducer):
     """Reduce an embedding on one or two vertices from where it stands.
 
     Case-1 merges run until no vertex lies on three antifaces.  That leaves
@@ -550,7 +541,6 @@ def _small_order(embedding, decomposition, validate_steps):
     arcs each way one interlaced merge closes it; with one arc each way its
     three faces are the minimum.
     """
-    reducer = _Reducer(embedding, decomposition, validate_steps)
     while reducer.merge_reducible_vertex():
         pass
     emb = reducer.emb

@@ -1,6 +1,7 @@
 """Shared instance builders for the test suite."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -8,11 +9,17 @@ from eulergenus import (
     CircuitDecomposition,
     Digraph,
     DirectedCircuit,
+    OrientedDirectedEmbedding,
     euler_circuit,
     gen_rotational_tournament,
     gen_sts,
     iter_relative_embeddings,
 )
+from eulergenus.embedding import decomposition_blocks, flat_rotation
+from eulergenus.surgery import _rewire_three
+
+RAISE_TARGET = 31
+RAISE_ATTEMPTS = 400
 
 
 def circulant(n, steps):
@@ -69,6 +76,43 @@ def nth_state(digraph, decomposition, index):
         if i == index:
             return emb
     raise IndexError(index)
+
+
+def shuffled_blocks(digraph, decomposition, rng):
+    """An embedding of the circuits with every vertex's blocks shuffled."""
+    rotations = []
+    for blocks in decomposition_blocks(digraph, decomposition):
+        rng.shuffle(blocks)
+        rotations.append(flat_rotation(blocks))
+    return OrientedDirectedEmbedding(digraph, rotations)
+
+
+def raise_antifaces(embedding, rng):
+    """Apply seeded 3-cycles at three corners of one antiface, keeping
+    those that split it into three."""
+    for _ in range(RAISE_ATTEMPTS):
+        if len(embedding.antifaces) >= RAISE_TARGET:
+            break
+        face = rng.choice(embedding.antifaces)
+        v = face.corners[rng.randrange(len(face))]
+        positions = face.corner_positions(v)
+        if len(positions) < 3:
+            continue
+        arrivals = [face.walk[j] | 1 for j in rng.sample(positions, 3)]
+        candidate = _rewire_three(embedding, v, *arrivals)
+        if len(candidate.antifaces) > len(embedding.antifaces):
+            embedding = candidate
+    return embedding
+
+
+def reference_find_three(embedding):
+    """The lowest vertex on three antifaces and its first three, by counting."""
+    antifaces = embedding.antifaces
+    counts = Counter(itertools.chain.from_iterable(f.vertex_set() for f in antifaces))
+    v = min((u for u, count in counts.items() if count >= 3), default=None)
+    if v is None:
+        return None
+    return v, tuple(f for f in antifaces if f.visits(v))[:3]
 
 
 @pytest.fixture

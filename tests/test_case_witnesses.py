@@ -34,9 +34,14 @@ from eulergenus import (
     NoProgressError,
     OrientedDirectedEmbedding,
     ReductionTrace,
+    TypeTable,
+    classify,
+    find_vertex_on_three_antifaces,
+    iter_relative_embeddings,
     reduce_embedding,
     verify_embedding,
 )
+from eulergenus import reduce as reduce_module
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "case_witnesses.json")
 
@@ -105,6 +110,56 @@ def test_witness_trace_passes_validate(witness):
         trace.record(row["case"], row["operation"], row["witness"],
                      row["antifaces_before"], row["antifaces_after"])
     assert trace.validate() == []
+
+
+def test_the_heaviest_pair_of_a_star_is_its_center_and_heaviest_neighbor(
+        tournament7, sts7, monkeypatch):
+    """Case 2.2 takes its partner from ``classify``: in a loop-free star
+    every link holds the center, so the heaviest pair is the center and its
+    heaviest neighbor, lowest key on ties.  The shapes are the ones the
+    reducer reads on every witness run, among them where the case-2.2
+    witnesses enter the case, and those of the irreducible 7-tournament and
+    Steiner 7 states."""
+    shapes, entered = [], []
+    real_classify = reduce_module.classify
+    real_case = reduce_module._Reducer.case_no_loops_star
+
+    def recording_classify(touch):
+        shape = real_classify(touch)
+        shapes.append((touch, shape))
+        return shape
+
+    def recording_case(reducer, touch, shape):
+        entered.append((touch, shape))
+        return real_case(reducer, touch, shape)
+
+    monkeypatch.setattr(reduce_module, "classify", recording_classify)
+    monkeypatch.setattr(reduce_module._Reducer, "case_no_loops_star", recording_case)
+    for witness in WITNESSES:
+        before = len(entered)
+        try:
+            reduce_embedding(*start(witness), BEST_EFFORT)
+        except NoProgressError:
+            pass
+        assert (len(entered) > before) == (witness["case"] == "2.2"), witness["label"]
+    monkeypatch.undo()
+    for digraph, decomposition in (tournament7, sts7):
+        for emb in iter_relative_embeddings(digraph, decomposition):
+            if find_vertex_on_three_antifaces(emb) is None:
+                touch = TypeTable(emb)
+                shapes.append((touch, classify(touch)))
+    checked = 0
+    for touch, shape in shapes:
+        if shape.loop_nodes or not shape.is_star or len(touch.nodes) < 3:
+            continue
+        center = shape.star_center
+        weight = {key: len(touch.link_vertices(center, key))
+                  for key in touch.neighbors(center)}
+        heaviest = min(weight, key=lambda key: (-weight[key], key))
+        assert center in shape.heaviest_pair
+        assert set(shape.heaviest_pair) == {center, heaviest}
+        checked += 1
+    assert checked >= len(entered) >= 3
 
 
 if __name__ == "__main__":

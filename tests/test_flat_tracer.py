@@ -24,7 +24,7 @@ from eulergenus import (
 from eulergenus.embedding import FaceWalk, flat_rotation
 from eulergenus.surgery import _arrival_at, _rewire_three
 
-from conftest import circuit_set, circulant
+from conftest import circuit_set, circulant, reference_find_three, shuffled_blocks
 
 
 def _graphs():
@@ -195,30 +195,10 @@ def _old_arrival_at(face, v):
     return min(arrivals)
 
 
-def _old_find_vertex_on_three_antifaces(embedding):
-    on_faces = {}
-    for f in embedding.antifaces:
-        for v in f.vertex_set():
-            on_faces.setdefault(v, []).append(f)
-    for v in sorted(on_faces):
-        faces = on_faces[v]
-        if len(faces) >= 3:
-            faces.sort(key=lambda f: f.walk)
-            return v, tuple(faces[:3])
-    return None
-
-
 def _walked_embedding(digraph, seed, rewires):
     """Random start with fixed profaces, then random 3-cycles of the antiface pairing."""
     rng = random.Random(seed)
-    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
-    fw = decomposition.fw
-    rotations = []
-    for v in range(digraph.n):
-        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
-        rng.shuffle(blocks)
-        rotations.append([h for block in blocks for h in block])
-    emb = OrientedDirectedEmbedding(digraph, rotations)
+    emb = shuffled_blocks(digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]), rng)
     for _ in range(rewires):
         v = rng.randrange(digraph.n)
         ins = list(digraph.in_half_arcs(v))
@@ -256,7 +236,7 @@ def test_arrival_lookup_equals_the_corner_scan(graph_index, seed, rewires):
 )
 def test_three_face_search_equals_the_membership_scan(graph_index, seed, rewires):
     emb = _walked_embedding(EULERIAN[graph_index], seed, rewires)
-    assert find_vertex_on_three_antifaces(emb) == _old_find_vertex_on_three_antifaces(emb)
+    assert find_vertex_on_three_antifaces(emb) == reference_find_three(emb)
 
 
 def _transition_decomposition(digraph, rng):
@@ -279,17 +259,6 @@ def _transition_decomposition(digraph, rng):
     return CircuitDecomposition.from_arc_lists(digraph, circuits)
 
 
-def _shuffled_blocks(digraph, decomposition, rng):
-    """An embedding of the circuits with every vertex's blocks shuffled."""
-    fw = decomposition.fw
-    rotations = []
-    for v in range(digraph.n):
-        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
-        rng.shuffle(blocks)
-        rotations.append(flat_rotation(blocks))
-    return OrientedDirectedEmbedding(digraph, rotations)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(range(len(GRAPHS))),
@@ -303,7 +272,7 @@ def test_proface_identity_from_blocks_equals_the_traced_comparison(graph_index, 
     if state == "random":
         emb = OrientedDirectedEmbedding(digraph, _random_rotations(digraph, rng))
     else:
-        emb = _shuffled_blocks(digraph, decomposition, rng)
+        emb = shuffled_blocks(digraph, decomposition, rng)
     if state == "other":
         # another decomposition of the same digraph, at times the same one
         decomposition = _transition_decomposition(digraph, rng)

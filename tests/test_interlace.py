@@ -33,7 +33,7 @@ from eulergenus import (
 )
 from eulergenus.interlace import walk_edge_pairs
 
-from conftest import circulant, nth_state
+from conftest import circulant, nth_state, reference_find_three
 
 
 def test_type_table_records_membership(double_digon):
@@ -74,16 +74,6 @@ def test_find_vertex_none_when_locally_irreducible(double_digon):
     digraph, decomposition = double_digon
     emb = nth_state(digraph, decomposition, 0)
     assert find_vertex_on_three_antifaces(emb) is None
-
-
-def _reference_find_three(embedding):
-    """The lowest vertex on three antifaces and its first three, by counting."""
-    antifaces = embedding.antifaces
-    counts = Counter(itertools.chain.from_iterable(f.vertex_set() for f in antifaces))
-    v = min((u for u, count in counts.items() if count >= 3), default=None)
-    if v is None:
-        return None
-    return v, tuple(f for f in antifaces if f.visits(v))[:3]
 
 
 def _reference_on_faces(embedding):
@@ -175,7 +165,7 @@ def test_one_membership_structure_matches_the_reference_scans():
             reference = {v: tuple(f.key for f in fs) for v, fs in on_faces.items()}
             assert emb.antiface_index()[1] == reference
             hit = find_vertex_on_three_antifaces(emb)
-            want = _reference_find_three(emb)
+            want = reference_find_three(emb)
             if want is None:
                 assert hit is None
                 table = TypeTable(emb)

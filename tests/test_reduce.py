@@ -41,8 +41,7 @@ from eulergenus.reduce import ReductionStep, ReductionTrace, _AntifaceCore, _Red
 from eulergenus.surgery import _rewire_three
 from eulergenus.touch import build_touch_graph, classify
 
-from conftest import circuit_set, circulant, nth_state
-from test_reduction_traces import raise_antifaces, random_block_order
+from conftest import circuit_set, circulant, nth_state, raise_antifaces, shuffled_blocks
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +260,7 @@ def test_a_hypothesis_error_inside_a_step_ends_the_run_at_a_dead_end(monkeypatch
     digraph = gen_random_dense_eulerian(21, 2, seed=5)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     rng = random.Random("random-21-k2/1")
-    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    start = raise_antifaces(shuffled_blocks(digraph, decomposition, rng), rng)
     _, full = reduce_embedding(start, decomposition, mode=STRICT)
     case_one = list(itertools.takewhile(lambda step: step.case == "1", full.steps))
     assert 0 < len(case_one) < len(full.steps)
@@ -301,7 +300,7 @@ def test_the_bipartite_core_route_on_seeded_irreducible_starts(n, seed):
     digraph = gen_random_dense_eulerian(n, 2, seed)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     rng = random.Random(f"{n}/{seed}")
-    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    start = raise_antifaces(shuffled_blocks(digraph, decomposition, rng), rng)
     reducer = _Reducer(start, decomposition, validate_steps=False)
     while reducer.merge_reducible_vertex():
         pass
@@ -433,7 +432,7 @@ def test_core_merges_match_merge_three_at_vertex(graph_index, seed, splits):
     that never builds in between ends at the same embedding."""
     digraph, decomposition = DENSE_GRAPHS[graph_index]
     rng = random.Random(seed)
-    emb = random_block_order(digraph, decomposition, rng)
+    emb = shuffled_blocks(digraph, decomposition, rng)
     for _ in range(splits):  # 3-cycles at three corners of one antiface
         face = rng.choice(emb.antifaces)
         v = face.corners[rng.randrange(len(face))]
@@ -487,7 +486,7 @@ def test_the_block_pairing_check_matches_the_traced_profaces(graph_index, seed, 
     reject exactly the embeddings whose traced profaces are not the circuits."""
     digraph, decomposition = DENSE_GRAPHS[graph_index]
     rng = random.Random(seed)
-    emb = random_block_order(digraph, decomposition, rng)
+    emb = shuffled_blocks(digraph, decomposition, rng)
     rotations = list(emb.rotations)
     for _ in range(repairs):  # swap the outgoing halves of two blocks
         v = rng.randrange(digraph.n)
@@ -515,7 +514,7 @@ def test_case_one_steps_trace_no_faces(n, monkeypatch):
     digraph = gen_rotational_tournament(n)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     rng = random.Random(f"tournament-{n}")
-    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    start = raise_antifaces(shuffled_blocks(digraph, decomposition, rng), rng)
     real_trace = OrientedDirectedEmbedding._trace
     traced = []
 
@@ -546,7 +545,7 @@ def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypa
     digraph = gen_random_dense_eulerian(21, 2, seed=5)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     rng = random.Random("random-21-k2/1")
-    start = raise_antifaces(random_block_order(digraph, decomposition, rng), rng)
+    start = raise_antifaces(shuffled_blocks(digraph, decomposition, rng), rng)
     calls = dict.fromkeys(("blocks", "built", "children", "verified"), 0)
 
     def counting(name, real):

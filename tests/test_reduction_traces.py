@@ -20,21 +20,18 @@ import random
 from eulergenus import (
     STRICT,
     CircuitDecomposition,
-    OrientedDirectedEmbedding,
-    embed_from_decomposition,
     euler_circuit,
     gen_random_dense_eulerian,
     gen_rotational_tournament,
     gen_sts,
     reduce_embedding,
 )
-from eulergenus.surgery import _rewire_three
+
+from conftest import raise_antifaces, shuffled_blocks
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reduction_traces.json")
 
 SEEDS = (1, 2, 3)
-RAISE_TARGET = 31
-RAISE_ATTEMPTS = 400
 
 
 def corpus_graphs():
@@ -52,42 +49,13 @@ def corpus_graphs():
     )
 
 
-def random_block_order(digraph, decomposition, rng):
-    """Embedding with the decomposition's blocks shuffled at every vertex."""
-    canonical = embed_from_decomposition(digraph, decomposition)
-    rotations = []
-    for v in range(digraph.n):
-        blocks = list(canonical.blocks_at(v))
-        rng.shuffle(blocks)
-        rotations.append([h for block in blocks for h in block])
-    return OrientedDirectedEmbedding(digraph, rotations)
-
-
-def raise_antifaces(embedding, rng):
-    """Apply seeded 3-cycles at three corners of one antiface, keeping
-    those that split it into three."""
-    for _ in range(RAISE_ATTEMPTS):
-        if len(embedding.antifaces) >= RAISE_TARGET:
-            break
-        face = rng.choice(embedding.antifaces)
-        v = face.corners[rng.randrange(len(face))]
-        positions = face.corner_positions(v)
-        if len(positions) < 3:
-            continue
-        arrivals = [face.walk[j] | 1 for j in rng.sample(positions, 3)]
-        candidate = _rewire_three(embedding, v, *arrivals)
-        if len(candidate.antifaces) > len(embedding.antifaces):
-            embedding = candidate
-    return embedding
-
-
 def build_traces(validate_steps=False):
     out = []
     for label, digraph, decomposition in corpus_graphs():
         for seed in SEEDS:
             for raised in (False, True):
                 rng = random.Random(f"{label}/{seed}")
-                start = random_block_order(digraph, decomposition, rng)
+                start = shuffled_blocks(digraph, decomposition, rng)
                 if raised:
                     start = raise_antifaces(start, rng)
                 final, trace = reduce_embedding(start, decomposition, STRICT,

@@ -9,7 +9,6 @@ import pytest
 from eulergenus import (
     CircuitDecomposition,
     Digraph,
-    OrientedDirectedEmbedding,
     embed_from_decomposition,
     embedding_svg,
     euler_circuit,
@@ -17,6 +16,8 @@ from eulergenus import (
     gen_sts,
 )
 from eulergenus.render import ANTI_PALETTE, PRO_PALETTE
+
+from conftest import shuffled_blocks
 
 
 def _digon_svg():
@@ -92,27 +93,16 @@ def _mixed_multidigraph():
     return digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)])
 
 
-def _shuffled(digraph, decomposition, seed):
-    """An embedding of the circuits with every vertex's blocks shuffled."""
-    rng = random.Random(seed)
-    fw = decomposition.fw
-    rotations = []
-    for v in range(digraph.n):
-        blocks = [(fw[h], h) for h in digraph.in_half_arcs(v)]
-        rng.shuffle(blocks)
-        rotations.append([h for block in blocks for h in block])
-    return OrientedDirectedEmbedding(digraph, rotations)
-
-
 def _golden_embeddings():
     mixed = _mixed_multidigraph()
     sts = gen_sts(13)
     kn = gen_kn_minus_pm(12)
     return {
-        "kn12-shuffled": _shuffled(kn, CircuitDecomposition(kn, [euler_circuit(kn)]), seed=2),
+        "kn12-shuffled": shuffled_blocks(kn, CircuitDecomposition(kn, [euler_circuit(kn)]),
+                                         random.Random(2)),
         "mixed-canonical": embed_from_decomposition(*mixed),
-        "mixed-shuffled": _shuffled(*mixed, seed=3),
-        "sts13-shuffled": _shuffled(*sts, seed=1),
+        "mixed-shuffled": shuffled_blocks(*mixed, random.Random(3)),
+        "sts13-shuffled": shuffled_blocks(*sts, random.Random(1)),
     }
 
 

@@ -17,17 +17,22 @@ clockwise-before it, so profaces depend only on how half-arcs pair into
 blocks.  With the profaces fixed to a circuit decomposition the pairing
 is fixed too (``decomposition_blocks``), and an embedding is just the
 cyclic order of its blocks at each vertex: all it stores is ``halves``,
-the outgoing and the incoming halves of its blocks.  ``_blocks`` splits
-each rotation into them once, when an embedding is built from rotations,
-``embed_from_decomposition`` builds them straight from the circuits, and
-``_check_halves`` checks them, then and in ``verify_embedding``.
-``profaces_are`` and ``successors`` (the map a face follows from arc to
-arc) read them.  ``rotations`` writes them back through ``flat_rotation``,
-each from its first outgoing half, also where the given rotation started
-on an incoming half.  ``with_rotation`` reads only the rotation it
-replaces and shares the rest; its result is traced like any other
-embedding, so a surgery's postconditions are checked against faces that
-owe nothing to its parent's.
+the outgoing and the incoming halves of its blocks.  This module alone
+knows the rotation format.  ``_blocks`` splits each rotation into halves
+once, when an embedding is built from rotations, and ``rotations`` writes
+them back through ``flat_rotation``, each from its first outgoing half,
+also where the given rotation started on an incoming half.
+``embed_from_decomposition`` builds the halves straight from the
+circuits, and ``_check_halves`` checks them, then and in
+``verify_embedding``.  ``profaces_are`` and ``successors`` (the map a
+face follows from arc to arc) read them.
+
+A surgery or an oracle state makes its child with ``_with_halves``,
+which checks the new halves at one vertex and shares every other
+vertex's; ``with_rotation`` reads the one rotation it replaces and hands
+its halves on.  The child is traced like any other embedding, so a
+surgery's postconditions are checked against faces that owe nothing to
+its parent's.
 
 The full tracer walks ``successors``: one step of a face from outgoing
 half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and a
@@ -167,8 +172,8 @@ class OrientedDirectedEmbedding:
             raise EmbeddingError(
                 f"expected {digraph.n} rotations, got {len(rotations)}"
             )
-        self._fill(digraph,
-                   tuple([_blocks(digraph, v, rot) for v, rot in enumerate(rotations)]))
+        self._fill(digraph, tuple([_check_halves(digraph, v, *_blocks(digraph, v, rot))
+                                   for v, rot in enumerate(rotations)]))
 
     def _fill(self, digraph, halves):
         """Set the slots to already checked ``halves``, with no face traced."""
@@ -294,8 +299,16 @@ class OrientedDirectedEmbedding:
             halves = _blocks(self.digraph, v, new_rotation)
         except TypeError as exc:
             raise EmbeddingError(f"rotation half-arcs must be integers: {exc}") from None
+        return self._with_halves(v, *halves)
+
+    def _with_halves(self, v, outgoing, incoming):
+        """This embedding with the blocks at v replaced by ``outgoing`` and
+        ``incoming``, checked by ``_check_halves``; every other vertex's
+        halves are shared, and the child's faces are traced when first read."""
+        halves = self.halves
         return OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)._fill(
-            self.digraph, self.halves[:v] + (halves,) + self.halves[v + 1:])
+            self.digraph,
+            halves[:v] + (_check_halves(self.digraph, v, outgoing, incoming),) + halves[v + 1:])
 
     def to_json_dict(self):
         return {"rotations": [list(rot) for rot in self.rotations]}
@@ -344,7 +357,7 @@ def _blocks(digraph, v, rotation):
     items are ints (TypeError naming the first that is not) and splits it.
     Block i is ``(outgoing[i], incoming[i])``, counted clockwise from the
     rotation's first outgoing half; an empty rotation has no blocks.
-    ``_check_halves`` checks them.
+    Its callers check them with ``_check_halves``.
     """
     try:
         rotation = tuple(rotation)
@@ -352,20 +365,19 @@ def _blocks(digraph, v, rotation):
         raise TypeError(f"the rotation at vertex {v} is {rotation!r}, not a sequence") from None
     check_json_ints((rotation,))
     turned = rotation[1:] + rotation[:1] if rotation and rotation[0] & 1 else rotation
-    halves = turned[0::2], turned[1::2]
-    _check_halves(digraph, v, *halves)
-    return halves
+    return turned[0::2], turned[1::2]
 
 
 def _check_halves(digraph, v, outgoing, incoming):
-    """Raise ``_RotationFault`` if the blocks at v do not hold a permutation
-    of v's half-arcs, and otherwise if they do not alternate."""
+    """``(outgoing, incoming)`` when the blocks at v hold a permutation of
+    v's half-arcs that alternates; otherwise raise ``_RotationFault`` for
+    the first of those two rules they break."""
     # exactly the alternating permutations hold v's outgoing halves at the
     # even places and its incoming ones at the odd places
     if (len(outgoing) == len(incoming)
             and tuple(sorted(outgoing)) == digraph.out_half_arcs(v)
             and tuple(sorted(incoming)) == digraph.in_half_arcs(v)):
-        return
+        return outgoing, incoming
     if tuple(sorted(outgoing + incoming)) != digraph.incident_half_arcs(v):
         raise _RotationFault(
             "rotation-structure",
@@ -416,9 +428,7 @@ def embed_from_decomposition(digraph, decomposition):
     halves = []
     for v in range(digraph.n):
         incoming = digraph.in_half_arcs(v)
-        outgoing = tuple([fw[h] for h in incoming])
-        _check_halves(digraph, v, outgoing, incoming)
-        halves.append((outgoing, incoming))
+        halves.append(_check_halves(digraph, v, tuple([fw[h] for h in incoming]), incoming))
     return OrientedDirectedEmbedding.__new__(OrientedDirectedEmbedding)._fill(
         digraph, tuple(halves))
 

@@ -161,6 +161,10 @@ def split_circuit_at(decomposition, index, vertex, pieces=2):
     count = len(decomposition.circuits)
     if type(index) is not int or not 0 <= index < count:
         raise GraphError(f"circuit index {index!r} is outside 0..{count - 1}")
+    if type(vertex) is not int or not 0 <= vertex < digraph.n:
+        raise GraphError(f"vertex {vertex!r} is outside 0..{digraph.n - 1}")
+    if type(pieces) is not int or pieces < 1:
+        raise GraphError(f"piece count {pieces!r} is not a positive integer")
     circuit = decomposition.circuits[index]
     ids = circuit.arc_ids
     cuts = [j for j, a in enumerate(ids) if digraph.tail(a) == vertex]

@@ -18,8 +18,7 @@ from itertools import islice, permutations
 from math import factorial, prod
 from operator import itemgetter
 
-from .embedding import (OrientedDirectedEmbedding, decomposition_blocks,
-                        flat_rotation)
+from .embedding import decomposition_blocks, embed_from_decomposition
 from .errors import EmbeddingError, GraphError, StateSpaceError
 
 
@@ -46,25 +45,27 @@ def iter_relative_embeddings(digraph, decomposition, limit=10_000_000):
     slowest, and is kept stable because callers pick states by index.
     """
     _check_feasible(digraph, decomposition, limit)
-    return _stream(digraph, decomposition_blocks(digraph, decomposition))
+    return _stream(embed_from_decomposition(digraph, decomposition))
 
 
-def _stream(digraph, blocks):
+def _stream(embedding):
     """An odometer whose wheels are the vertices of in-degree at least 3,
     the last turning fastest through its lazily made arrangements; a wheel
-    that wraps round carries to the one before it."""
-    rotations = list(map(flat_rotation, blocks))  # each first arrangement
-    wheels = [v for v in reversed(range(digraph.n)) if len(blocks[v]) > 2]
+    that wraps round carries to the one before it.  ``embedding`` is the
+    first state, and each turn replaces the halves of its wheel's vertex."""
+    first = embedding.halves  # each vertex's first arrangement
+    wheels = [v for v in reversed(range(len(first))) if len(first[v][1]) > 2]
+    blocks = {v: tuple(zip(*first[v])) for v in wheels}
     later = {v: islice(permutations(blocks[v][1:]), 1, None) for v in wheels}
     while True:
-        yield OrientedDirectedEmbedding(digraph, rotations)
+        yield embedding
         for v in wheels:
             rest = next(later[v], None)
             if rest is not None:
-                rotations[v] = flat_rotation((blocks[v][0], *rest))
+                embedding = embedding._with_halves(v, *zip(blocks[v][0], *rest))
                 break
             later[v] = islice(permutations(blocks[v][1:]), 1, None)
-            rotations[v] = flat_rotation(blocks[v])
+            embedding = embedding._with_halves(v, *first[v])
         else:
             return
 

@@ -38,14 +38,14 @@ union-find over arc ids whose roots are the antiface orbits' least arcs,
 so ``2 * root`` is a face key.  A case-1 step scans in-halves from a
 cursor to the first vertex on three orbits (unions never crowd a vertex,
 so none below the cursor is), re-pairs the lowest arrivals of its three
-least orbits through ``surgery._rewire_three``, whose child shares every
-other vertex's halves and is traced only when read, and unions them.  The
-child copies one n-tuple of references, and under the theorem's density bound
-(deg v >= (4n + 2)/5) that is still O(deg v), so the step costs
-O(deg v · α) whatever the faces' lengths.  Every other step needs the
-touch graph and the surgeries, so it traces the current embedding (O(m)),
-runs on it, and reloads the core from the result.  No step builds an
-embedding through the constructor.  The final embedding is traced once,
+least orbits through ``surgery._rewire_three``, whose child replaces that
+vertex's halves, shares every other vertex's and is traced only when read,
+and unions them.  The child copies one n-tuple of references, and under
+the theorem's density bound (deg v >= (4n + 2)/5) that is still O(deg v),
+so the step costs O(deg v · α) whatever the faces' lengths.  Every other
+step needs the touch graph and the surgeries, so it traces the current
+embedding (O(m)), runs on it, and reloads the core from the result.  No
+step reads or writes a rotation.  The final embedding is traced once,
 and ``validate_steps=True`` verifies the current one after every step.
 The first read of each embedding the core holds checks that its antifaces
 are exactly the core's orbits.
@@ -159,7 +159,7 @@ class _AntifaceCore:
     a min.  ``count`` is the number of orbits.  Merges only union orbits, so
     a vertex on fewer than three orbits stays so until the next load: every
     vertex below ``cursor`` is known to be.  A merge replaces ``current`` by
-    a ``with_rotation`` child, whose faces are traced only when read;
+    a ``_rewire_three`` child, whose faces are traced only when read;
     ``checked`` is set once ``embedding()`` has checked it.
     """
 

@@ -1,20 +1,21 @@
 """Antiface surgeries that leave every proface untouched.
 
-All four operations rewrite rotations only at whole-block granularity: a
-block is one (outgoing, incoming) pair of a rotation, and proface pairing
+All four operations rewrite an embedding only at whole-block granularity:
+a block is one (outgoing, incoming) pair at a vertex, and proface pairing
 lives inside blocks while antiface pairing crosses block boundaries.
 Permuting blocks at a vertex therefore rewires antifaces and nothing else,
-which each operation checks on the blocks.  The result shares its
-parent's other rotations and traces its own faces (see
-``OrientedDirectedEmbedding.with_rotation``); every antiface
-postcondition is checked against that fresh trace.  A failed check
-raises ``EmbeddingError``, also under ``python -O``.
+which each operation checks on the blocks.  Every move is one 3-cycle,
+``_rewire_three``, which reorders both halves tuples of one vertex; the
+result shares its parent's other halves and traces its own faces, and
+every antiface postcondition is checked against that fresh trace.  No
+rotation is read or written here.  A failed check raises
+``EmbeddingError``, also under ``python -O``.
 """
 
 from fractions import Fraction
 
 from .digraph import density_profile
-from .embedding import flat_rotation, least_first
+from .embedding import least_first
 from .errors import EmbeddingError, HypothesisError, LocalIrreducibilityError
 from .interlace import _crowded_vertex
 
@@ -54,22 +55,24 @@ def _rewire_three(embedding, v, h1, h2, h3):
     """Advance the antiface departures after three incoming half-arcs at v.
 
     The blocks that hold them, at positions a < b < c, are reordered to
-    B_a, B_(b+1..c), B_(a+1..b), B_(c+1..a-1).  The effect is a 3-cycle on
-    the antiface pairing: each of the three incoming halves now continues
-    to the old continuation of the clockwise-next one.  All blocks stay
+    B_a, B_(b+1..c), B_(a+1..b), B_(c+1..a-1), by the same reorder of the
+    outgoing and of the incoming halves.  The effect is a 3-cycle on the
+    antiface pairing: each of the three incoming halves now continues to
+    the old continuation of the clockwise-next one.  All blocks stay
     intact, so profaces are untouched.
     """
-    blocks = embedding.blocks_at(v)
-    pos = {h: i for i, (_, h) in enumerate(blocks)}
+    outgoing, incoming = embedding.halves[v]
     for h in (h1, h2, h3):
-        if h not in pos:
+        if h not in incoming:
             raise EmbeddingError(f"half-arc {h} is not incoming at vertex {v}")
     if len({h1, h2, h3}) != 3:
         raise EmbeddingError("the three incoming half-arcs must be distinct")
-    a, b, c = sorted((pos[h1], pos[h2], pos[h3]))
-    reordered = (blocks[a:a + 1] + blocks[b + 1:c + 1] + blocks[a + 1:b + 1]
-                 + blocks[c + 1:] + blocks[:a])
-    return embedding.with_rotation(v, flat_rotation(reordered))
+    a, b, c = sorted(map(incoming.index, (h1, h2, h3)))
+
+    def reordered(half):
+        return half[a:a + 1] + half[b + 1:c + 1] + half[a + 1:b + 1] + half[c + 1:] + half[:a]
+
+    return embedding._with_halves(v, reordered(outgoing), reordered(incoming))
 
 
 def _created_antifaces(embedding, new_embedding, inputs, v, operation):
@@ -161,27 +164,13 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
     b_from_corner = b.walk[anchor + 1:] + b.walk[:anchor + 1]
 
     # the part whose closing corner the rotation reaches first (clockwise
-    # from in_a1) is the part that absorbs B
-    blocks = embedding.blocks_at(v)
-    pos = {h: i for i, (_, h) in enumerate(blocks)}
-    d = len(blocks)
-    merged_part = None
-    for step in range(1, d):
-        idx = (pos[in_a1] + step) % d
-        if blocks[idx][1] == in_a2:
-            merged_part = 1
-            break
-        if blocks[idx][1] == in_b:
-            merged_part = 2
-            break
-    if merged_part is None:
-        raise EmbeddingError(f"cut arrivals are missing from the rotation at vertex {v}")
-    if merged_part == 1:
-        merged_walk = part1 + b_from_corner
-        kept_walk = part2
+    # from in_a1) is the part that absorbs B; all three halves are incoming at v
+    incoming = embedding.halves[v][1]
+    start, d = incoming.index(in_a1), len(incoming)
+    if (incoming.index(in_a2) - start) % d < (incoming.index(in_b) - start) % d:
+        merged_walk, kept_walk = part1 + b_from_corner, part2
     else:
-        merged_walk = part2 + b_from_corner
-        kept_walk = part1
+        merged_walk, kept_walk = part2 + b_from_corner, part1
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
     created = _created_antifaces(embedding, new_embedding, (a, b), v, "split")
@@ -222,19 +211,9 @@ def merge_interlaced(embedding, face_a, face_b, face_c, x, y):
     p1, _, p3, _ = positions
 
     first = split_swap(embedding, x, a, p1, p3, b)
-    piece1 = first.merged
-    piece2 = first.kept
-    if not (piece1.visits(y) and piece2.visits(y)):
-        raise EmbeddingError(f"split at vertex {x} left a piece off vertex {y}")
     c_now = first.embedding.own_antiface(c)
-    second = merge_three_at_vertex(first.embedding, y, piece1, piece2, c_now)
-
-    merged = second.merged
-    if not (merged.visits(x) and merged.visits(y)):
-        raise EmbeddingError(f"merged face misses vertex {x} or {y}")
-    if len(second.embedding.antifaces) != len(embedding.antifaces) - 2:
-        raise EmbeddingError("interlaced merge did not remove two antifaces")
-    return SurgeryResult(second.embedding, merged=merged)
+    second = merge_three_at_vertex(first.embedding, y, first.merged, first.kept, c_now)
+    return SurgeryResult(second.embedding, merged=second.merged)
 
 
 class DivisionResult:

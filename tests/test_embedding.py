@@ -233,6 +233,36 @@ def test_a_rewired_child_is_traced_once_when_first_read(monkeypatch):
         emb.with_rotation(0, rotation)
 
 
+def test_a_rewired_child_replaces_only_its_vertex_halves(monkeypatch):
+    """``_rewire_three`` reads no rotation, checks the new halves once and
+    shares every other vertex's."""
+    from eulergenus import embedding as embedding_module
+
+    emb = _random_start(gen_rotational_tournament(9), random.Random(6))
+    (outgoing, incoming), v = emb.halves[4], 4
+    checked = []
+    check_halves = embedding_module._check_halves
+
+    def counting(*args):
+        checked.append(args[1])
+        return check_halves(*args)
+
+    def no_rotation(*args):
+        pytest.fail("a rotation was read")
+
+    monkeypatch.setattr(embedding_module, "_blocks", no_rotation)
+    monkeypatch.setattr(embedding_module, "_check_halves", counting)
+    child = _rewire_three(emb, v, incoming[3], incoming[0], incoming[1])
+    monkeypatch.undo()
+    assert checked == [v]
+    # blocks 0, 1 and 3 reorder to B_0, B_2..3, B_1
+    order = (0, 2, 3, 1)
+    assert child.halves[v] == (tuple(outgoing[i] for i in order),
+                               tuple(incoming[i] for i in order))
+    assert all(child.halves[u] is emb.halves[u] for u in range(emb.digraph.n) if u != v)
+    assert verify_embedding(child).ok
+
+
 def test_antiface_lookup_by_key():
     emb = _random_start(gen_rotational_tournament(9), random.Random(5))
     for face in emb.antifaces:

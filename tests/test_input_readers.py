@@ -78,11 +78,32 @@ def t7():
      GraphError, "circuit index 1 is outside 0..0"),
     (lambda d, c, e: split_circuit_at(c, -1, 0),
      GraphError, "circuit index -1 is outside 0..0"),
+    (lambda d, c, e: split_circuit_at(c, 0, 7),
+     GraphError, "vertex 7 is outside 0..6"),
+    (lambda d, c, e: split_circuit_at(c, 0, -1),
+     GraphError, "vertex -1 is outside 0..6"),
+    (lambda d, c, e: split_circuit_at(c, 0, True),
+     GraphError, "vertex True is outside 0..6"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces="2"),
+     GraphError, "piece count '2' is not a positive integer"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=None),
+     GraphError, "piece count None is not a positive integer"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=2.0),
+     GraphError, "piece count 2.0 is not a positive integer"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=0),
+     GraphError, "piece count 0 is not a positive integer"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=-1),
+     GraphError, "piece count -1 is not a positive integer"),
+    (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=True),
+     GraphError, "piece count True is not a positive integer"),
 ], ids=["digraph-triple", "digraph-int-arc", "digraph-int-arcs", "undirected-triple",
         "embedding-int-rotations", "embedding-none", "with-rotation-none",
         "with-rotation-vertex-below", "with-rotation-vertex-above", "with-rotation-bool-vertex",
         "circuit-int", "arc-lists-int-circuit", "arc-lists-int", "decomposition-int-items",
-        "decomposition-none", "split-index-above", "split-index-below"])
+        "decomposition-none", "split-index-above", "split-index-below",
+        "split-vertex-above", "split-vertex-below", "split-bool-vertex", "split-str-pieces",
+        "split-none-pieces", "split-float-pieces", "split-zero-pieces", "split-negative-pieces",
+        "split-bool-pieces"])
 def test_malformed_inputs_raise_library_errors(t7, build, error, message):
     with pytest.raises(error) as info:
         build(*t7)

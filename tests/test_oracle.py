@@ -58,6 +58,20 @@ def test_iterator_length_matches_state_count(three_loops, four_loops):
             assert {f.arcs() for f in emb.profaces} == want
 
 
+def test_consecutive_states_share_the_halves_of_unturned_wheels():
+    """Each state replaces the halves of the vertices whose wheel turned
+    and shares every other vertex's with the state before it."""
+    digraph = gen_rotational_tournament(7)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    states = list(iter_relative_embeddings(digraph, decomposition))
+    assert states[0] == embed_from_decomposition(digraph, decomposition)
+    for before, after in zip(states, states[1:]):
+        turned = [v for v in range(digraph.n) if after.halves[v] != before.halves[v]]
+        assert turned
+        assert all(after.halves[v] is before.halves[v]
+                   for v in range(digraph.n) if v not in turned)
+
+
 def test_iterator_yields_distinct_rotation_systems(four_loops):
     digraph, decomposition = four_loops
     seen = {emb.rotations for emb in iter_relative_embeddings(digraph, decomposition)}

@@ -184,6 +184,22 @@ def test_case_star_success_exemplar(tournament7):
     assert len(reduced.antifaces) == 1
 
 
+def test_case_star_margin_route_second_witness():
+    """A second state whose star centre carries the margin certificate, so
+    case 2.2 merges at once instead of blowing the centre apart."""
+    digraph = circulant(7, (1, 4, 5))
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    emb = nth_state(digraph, decomposition, 75)
+    reduced, trace = reduce_embedding(
+        emb, decomposition, mode=STRICT, validate_steps=True
+    )
+    assert trace.to_dicts() == [{
+        "case": "2.2", "operation": "merge_interlaced", "witness": {"x": 5, "y": 6},
+        "antifaces_before": 3, "antifaces_after": 1,
+    }]
+    assert len(reduced.antifaces) == 1
+
+
 def test_case_wide_gap_success_exemplar(sts7):
     digraph, decomposition = sts7
     emb = nth_state(digraph, decomposition, 55)
@@ -535,10 +551,9 @@ def test_case_one_steps_trace_no_faces(n, monkeypatch):
 
 @pytest.mark.parametrize("validate_steps", [False, True])
 def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypatch):
-    """``_blocks`` reads a rotation at most once per embedding the
-    constructor builds, once per ``with_rotation`` child (its new rotation
-    only) and once per ``verify_embedding``; the reducer builds no
-    embedding through the constructor."""
+    """A reduction reads no rotation: it builds no embedding through the
+    constructor or ``with_rotation``, and ``_blocks`` never runs, also
+    when ``verify_embedding`` checks every step."""
     from eulergenus import embedding as embedding_module
     from eulergenus import reduce as reduce_module
 
@@ -566,10 +581,8 @@ def test_each_rotation_is_read_once_per_built_embedding(validate_steps, monkeypa
                                     validate_steps=validate_steps)
     monkeypatch.undo()
     assert any(step.case != "1" for step in trace.steps)
-    assert calls["built"] == 0 and calls["children"]
+    assert calls["built"] == calls["children"] == calls["blocks"] == 0
     assert calls["verified"] == (len(trace.steps) if validate_steps else 0)
-    n = digraph.n
-    assert calls["blocks"] <= n * (calls["built"] + calls["verified"]) + calls["children"]
     assert verify_embedding(final, decomposition).ok
 
 

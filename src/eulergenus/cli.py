@@ -104,8 +104,6 @@ def cmd_embed(args):
         return 1
     if args.trace:
         lines = [json.dumps(step) for step in trace.to_dicts()]
-        if trace.metadata:
-            lines.append(json.dumps({"metadata": trace.metadata}))
         _write_text(args.trace, "\n".join(lines) + ("\n" if lines else ""))
     _write_json(args.out, embedding.to_json_dict())
     _status(
@@ -199,9 +197,7 @@ def build_parser():
     p.add_argument("--circuits", help="default: one euler circuit")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="step log as JSON lines")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", default=True)
-    mode.add_argument("--best-effort", action="store_true")
+    p.add_argument("--best-effort", action="store_true")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="check an embedding file")

@@ -20,6 +20,15 @@ a face pair apart, merge at a vertex now on three antifaces if there is one
 (``blow`` retries case 1), else merge a big face with two moderate ones
 (``check_big_moderate``).  ``merge_cert`` fails a case that has no certificate.
 
+The split has no other dead end, by one lemma: in a locally irreducible
+embedding of a connected digraph the touch graph is connected.  An antiface
+holding arc (u, w) has a corner at w, and one at u, where the arc before it
+on the face ends; so if the antifaces split into two classes sharing no
+vertex, an arc between the two classes' vertex sets would lie on a face of
+each.  With three or more antifaces, then, every face has a neighbor, a
+loop-free touch graph has a link, every face of a star is linked to its
+center, and each case blows up two linked faces, which share a vertex.
+
 Strict mode demands order at least 7 and the density flag up front and the
 guarantees of the case analysis then apply; best-effort mode runs the same
 machine on any eulerian connected input and reports dead ends as errors,
@@ -51,7 +60,7 @@ The first read of each embedding the core holds checks that its antifaces
 are exactly the core's orbits.
 """
 
-from .digraph import (CircuitDecomposition, DirectedCircuit, _euler_circuits,
+from .digraph import (CircuitDecomposition, DirectedCircuit, _euler_circuits, _sequence,
                       density_profile, eulerian_orientation, underlying_simple_graph)
 from .embedding import embed_from_decomposition, successors, verify_embedding
 from .errors import (EmbeddingError, GraphError, HypothesisError,
@@ -282,13 +291,12 @@ class _Reducer:
         self.record(case, "merge_interlaced", {"x": cert.x, "y": cert.y}, before)
 
     def blow(self, split_key, partner_key, case):
-        """Blow ``split_key``'s face apart against ``partner_key``'s and retry
-        case 1: None after a case-1 merge, else the two faces left."""
+        """Blow ``split_key``'s face apart against ``partner_key``'s, a face
+        linked to it, and retry case 1: None after a case-1 merge, else the
+        two faces left."""
         split = self.emb.antiface(split_key)
         partner = self.emb.antiface(partner_key)
         shared = sorted(split.vertex_set() & partner.vertex_set())
-        if not shared:
-            self.fail(f"case {case}: the faces to blow up share no vertex")
         before = self.core.count
         result = blow_up(self.emb, split, partner, shared[0])
         self.adopt(result.embedding)
@@ -371,17 +379,12 @@ class _Reducer:
             self.case_two_looped(touch, shape)
         else:
             loop_key = shape.loop_nodes[0]
-            neighbors = touch.neighbors(loop_key)
-            if not neighbors:
-                self.fail("a looped face shares no vertex with any other face")
-            elif len(neighbors) == 1:
+            if len(touch.neighbors(loop_key)) == 1:
                 self.case_one_loop_one_neighbor(touch, loop_key)
             else:
                 self.case_one_loop_many_neighbors(touch, loop_key)
 
     def case_no_loops_general(self, touch, shape):
-        if shape.heaviest_pair is None:
-            self.fail("no two antifaces share a vertex")
         p, q = shape.heaviest_pair
         first, second = self.emb.antiface(p), self.emb.antiface(q)
         if len(second.vertex_set()) > len(first.vertex_set()):
@@ -451,8 +454,6 @@ class _Reducer:
                     break
             if triple:
                 break
-        if triple is None:
-            self.fail("case 3.1: no blow-up triple among the looped faces")
         loop_key, partner_key, anchor_key = triple
         self.blow_then_merge("3.1", loop_key, partner_key,
                              big=self.emb.antiface(anchor_key))
@@ -463,8 +464,6 @@ class _Reducer:
             key for key in touch.neighbors(partner_key)
             if key not in (loop_key, partner_key)
         ]
-        if not candidates:
-            self.fail("case 3.2.1: no third face adjacent to the neighbor")
         self.blow_then_merge("3.2.1", partner_key, candidates[0],
                              big=self.emb.antiface(loop_key))
 
@@ -537,24 +536,19 @@ def _small_order(reducer):
 
     Case-1 merges run until no vertex lies on three antifaces.  That leaves
     at most two antifaces, or on two vertices the path configuration: one
-    face on both vertices and one on each vertex alone.  With at least two
-    arcs each way one interlaced merge closes it; with one arc each way its
-    three faces are the minimum.
+    face on both vertices and one on each vertex alone.  Nothing else is
+    left: a face holding an arc between the two vertices visits both, two
+    such faces would fill both vertices, and on one vertex every face visits
+    it.  With at least two arcs each way one interlaced merge closes the
+    configuration; with one arc each way its three faces are the minimum.
     """
     while reducer.merge_reducible_vertex():
         pass
     emb = reducer.emb
     if len(emb.antifaces) <= 2:
         return emb, reducer.trace
-    # locally irreducible on two vertices: must be the path configuration
     spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
     single = [f for f in emb.antifaces if len(f.vertex_set()) == 1]
-    if not (len(spanning) == 1 and len(single) == 2
-            and single[0].vertex_set() != single[1].vertex_set()):
-        raise EmbeddingError(
-            f"{len(emb.antifaces)} locally irreducible antifaces do not form "
-            "the path configuration"
-        )
     u, w = (min(face.vertex_set()) for face in single)
     positions = spanning[0].alternation_positions(u, w)
     if positions is None:
@@ -564,7 +558,7 @@ def _small_order(reducer):
         # already sits at its own parity floor, so three is the minimum.
         return emb, reducer.trace
     cert = InterlacingCertificate(spanning[0], u, w, positions, *single)
-    reducer.merge_cert(cert, "small-a", "the path configuration does not interlace")
+    reducer.merge_cert(cert, "small-a", None)
     return reducer.emb, reducer.trace
 
 
@@ -591,7 +585,7 @@ def relative_upper_from_partial(digraph, partial, mode=STRICT, validate_steps=Fa
     those components.
     """
     circuits = []
-    for item in partial:
+    for item in _sequence(partial, "the circuit list", GraphError):
         circuit = item if isinstance(item, DirectedCircuit) else DirectedCircuit(digraph, item)
         if circuit.digraph != digraph:
             raise GraphError("partial circuit belongs to a different digraph")

@@ -355,15 +355,14 @@ def blow_up(embedding, face_a, face_b, x):
         if 2 * len(b.vertex_set()) >= n - k - 1:
             return SurgeryResult(embedding, changed=False, branch="no-op")
         branch = "y-minority-split"
-        if len(arc_neighbors) < 3:
-            raise HypothesisError(
-                f"vertex {x} has {len(arc_neighbors)} < 3 arc neighbors on the face to split"
-            )
         red_positions = sorted(reds.values())[:len(arc_neighbors) - 1]
         target = Fraction(2 * len(arc_neighbors) - 1, 2)
 
-    if len(black_positions) < 2:
-        raise HypothesisError(f"the face to split passes vertex {x} only once")
+    # x has at least three arc neighbors on A.  In the majority split they
+    # outnumber the rest of the a_size - 1 >= 4 others.  Else the neighbors
+    # of x that no arc of A joins are on B, at most |V(B)| - 1 < (n - k - 3)/2
+    # of x's n - 1 - k or more, leaving more than (n - k + 1)/2 >= 2.  A
+    # corner at x gives at most two, so A passes x at least twice
     white_positions = set(whites.values())
     red_kept = set(red_positions)
     colored = sorted(set(black_positions) | white_positions | red_kept)

@@ -63,6 +63,22 @@ def all_decompositions(digraph):
             yield CircuitDecomposition.from_arc_lists(digraph, circuits)
 
 
+def three_vertex_eulerian_digraphs(max_arcs):
+    """Every connected balanced multiset of at most ``max_arcs`` arcs on
+    three vertices, loops and parallel arcs allowed, once up to relabelling."""
+    kinds = list(itertools.product(range(3), repeat=2))
+    seen = set()
+    for m in range(1, max_arcs + 1):
+        for arcs in itertools.combinations_with_replacement(kinds, m):
+            least = min(tuple(sorted((p[t], p[h]) for t, h in arcs))
+                        for p in itertools.permutations(range(3)))
+            if least not in seen:
+                seen.add(least)
+                digraph = Digraph(3, least)
+                if digraph.is_eulerian():
+                    yield digraph
+
+
 def circuit_set(decomposition):
     """The decomposition's circuits as a set of arc tuples, each turned to
     start at its least arc, for comparisons that ignore circuit order and

@@ -36,7 +36,7 @@ from eulergenus import (
     verify_embedding,
 )
 
-from conftest import all_decompositions
+from conftest import all_decompositions, three_vertex_eulerian_digraphs
 
 
 @pytest.mark.parametrize("n,antifaces,genus", [
@@ -166,22 +166,6 @@ def test_best_effort_reaches_the_oracle_minimum_from_every_small_start():
     assert (decompositions, starts) == (274, 3460)
 
 
-def _three_vertex_eulerian_digraphs(max_arcs):
-    """Every connected balanced multiset of at most ``max_arcs`` arcs on
-    three vertices, loops and parallel arcs allowed, once up to relabelling."""
-    kinds = list(itertools.product(range(3), repeat=2))
-    seen = set()
-    for m in range(1, max_arcs + 1):
-        for arcs in itertools.combinations_with_replacement(kinds, m):
-            least = min(tuple(sorted((p[t], p[h]) for t, h in arcs))
-                        for p in itertools.permutations(range(3)))
-            if least not in seen:
-                seen.add(least)
-                digraph = Digraph(3, least)
-                if digraph.is_eulerian():
-                    yield digraph
-
-
 def test_best_effort_on_every_three_vertex_start_ends_at_a_count_it_may():
     """Every start of every decomposition of every three-vertex eulerian
     digraph with at most six arcs, each step verified: a run finishes or
@@ -189,7 +173,7 @@ def test_best_effort_on_every_three_vertex_start_ends_at_a_count_it_may():
     tally's minimum and of the same parity."""
     digraphs = decompositions = 0
     outcomes = {}
-    for digraph in _three_vertex_eulerian_digraphs(6):
+    for digraph in three_vertex_eulerian_digraphs(6):
         digraphs += 1
         for decomposition in all_decompositions(digraph):
             decompositions += 1

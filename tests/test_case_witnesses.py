@@ -43,6 +43,9 @@ from eulergenus import (
 )
 from eulergenus import reduce as reduce_module
 
+from conftest import all_decompositions, three_vertex_eulerian_digraphs
+from test_reduction_traces import build_traces
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "case_witnesses.json")
 
 
@@ -161,6 +164,51 @@ def test_the_heaviest_pair_of_a_star_is_its_center_and_heaviest_neighbor(
         checked += 1
     assert checked >= len(entered) >= 3
 
+
+def _connected(touch):
+    seen = {touch.nodes[0]}
+    stack = [touch.nodes[0]]
+    while stack:
+        for key in touch.neighbors(stack.pop()):
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return len(seen) == len(touch.nodes)
+
+
+def test_every_touch_graph_the_reducer_reads_is_connected(monkeypatch):
+    """The lemma that rules out the case machine's other dead ends: in a
+    locally irreducible embedding of a connected digraph the touch graph is
+    connected.  Checked on every touch graph the reducer builds on the
+    golden-trace corpus, the witness starts, and every start of every
+    three-vertex eulerian digraph with at most six arcs."""
+    checked = []
+    real_build = reduce_module.build_touch_graph
+
+    def checking_build(embedding):
+        touch = real_build(embedding)
+        assert _connected(touch), [sorted(f.vertex_set()) for f in embedding.antifaces]
+        checked.append(len(touch.nodes))
+        return touch
+
+    monkeypatch.setattr(reduce_module, "build_touch_graph", checking_build)
+    build_traces()
+    golden = len(checked)
+    for witness in WITNESSES:
+        try:
+            reduce_embedding(*start(witness), BEST_EFFORT)
+        except NoProgressError:
+            pass
+    witnesses = len(checked) - golden
+    for digraph in three_vertex_eulerian_digraphs(6):
+        for decomposition in all_decompositions(digraph):
+            for emb in iter_relative_embeddings(digraph, decomposition):
+                try:
+                    reduce_embedding(emb, decomposition, BEST_EFFORT)
+                except NoProgressError:
+                    pass
+    three_vertex = len(checked) - golden - witnesses
+    assert min(golden, witnesses, three_vertex) >= 1 and min(checked) >= 3
 
 if __name__ == "__main__":
     witnesses = load()

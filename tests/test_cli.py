@@ -1,15 +1,18 @@
 """The command line front end, driven through main(argv)."""
 
+import io
 import json
+import runpy
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from eulergenus import (CircuitDecomposition, Digraph, GraphError,
-                        OrientedDirectedEmbedding, embed_from_decomposition,
+                        OrientedDirectedEmbedding, TypeTable, embed_from_decomposition,
                         enumerate_relative_embeddings,
-                        euler_circuit, gen_rotational_tournament,
+                        euler_circuit, gen_kn_minus_pm, gen_rotational_tournament,
                         reduce_to_upper_embedding)
 from eulergenus import cli
 from eulergenus.cli import main
@@ -54,7 +57,7 @@ def test_gen_embed_verify_pipeline(tmp_path, capsys):
     assert code == 0
     assert "embedded: profaces = 1, antifaces = 1, genus = 7" in out
     steps = [json.loads(line) for line in t.read_text().splitlines()]
-    assert steps and all("case" in s for s in steps if "metadata" not in s)
+    assert steps and all("case" in s for s in steps)
 
     code, out, err = run(
         ["verify", "--in", str(g), "--embedding", str(e), "--circuits", str(c)],
@@ -187,6 +190,26 @@ def test_faces_json_and_touch_graph(tmp_path, capsys):
     assert 'f0 -- f0 [label="7"]' in out
 
 
+def test_faces_lists_each_link_with_its_shared_vertices(tmp_path, capsys):
+    # state 91 of K_8 minus a perfect matching is locally irreducible: its
+    # antiface 0 shares {1, 2, 3} with one antiface and {4, 5, 6} with another
+    digraph = gen_kn_minus_pm(8)
+    emb = nth_state(digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]), 91)
+    touch = TypeTable(emb)
+    g, e, f = (tmp_path / name for name in ("g.json", "e.json", "f.json"))
+    g.write_text(json.dumps(digraph.to_json_dict()))
+    e.write_text(json.dumps(emb.to_json_dict()))
+    code, out, err = run(
+        ["faces", "--in", str(g), "--embedding", str(e), "--out", str(f)], capsys
+    )
+    assert code == 0
+    links = _compact_json(f)["touch"]["links"]
+    assert links == [[0, 1, [1, 2, 3]], [0, 2, [4, 5, 6]]]
+    assert [(touch.nodes[i], touch.nodes[j]) for i, j, _ in links] == sorted(touch.links)
+    for i, j, vertices in links:
+        assert vertices == list(touch.link_vertices(touch.nodes[i], touch.nodes[j]))
+
+
 def test_faces_without_a_touch_graph(tmp_path, capsys):
     # state 0 of the 7-tournament has a vertex on three antifaces: its faces
     # trace and verify, but the touch graph is undefined
@@ -287,6 +310,25 @@ def test_gen_random_kind(tmp_path, capsys):
     assert code == 0
     digraph = Digraph.from_json_dict(json.loads(g.read_text()))
     assert digraph.n == 12 and digraph.is_eulerian()
+
+
+def test_gen_kn_minus_pm_kind(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    code, out, err = run(["gen", "kn-minus-pm", "--n", "8", "--out", str(g)], capsys)
+    assert code == 0
+    assert "generated kn-minus-pm: n = 8, arcs = 24" in out
+    assert json.loads(g.read_text()) == gen_kn_minus_pm(8).to_json_dict()
+
+
+def test_a_dash_input_reads_the_digraph_from_stdin(tmp_path, capsys, monkeypatch):
+    digraph = gen_rotational_tournament(7)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps(embed_from_decomposition(digraph, decomposition).to_json_dict()))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(digraph.to_json_dict())))
+    code, out, err = run(["verify", "--in", "-", "--embedding", str(e)], capsys)
+    assert code == 0
+    assert out.startswith("ok")
 
 
 def test_missing_file_is_an_io_error(tmp_path, capsys):
@@ -407,6 +449,29 @@ def test_strict_gate_maps_to_exit_code_two(tmp_path, capsys):
     # best-effort may finish or dead-end, but never hits the strict gate
     assert code in (0, 2)
     assert "strict mode" not in err
+
+
+def test_embed_has_no_strict_flag(tmp_path, capsys):
+    """Strict mode is what runs without --best-effort."""
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(gen_rotational_tournament(7).to_json_dict()))
+    with pytest.raises(SystemExit) as info:
+        main(["embed", "--in", str(g), "--out", "-", "--strict"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+def test_running_the_module_exits_with_main_s_code(tmp_path, monkeypatch):
+    g = tmp_path / "g.json"
+    monkeypatch.setattr(sys, "argv", ["eulergenus", "gen", "tournament", "--n", "5",
+                                      "--out", str(g)])
+    with warnings.catch_warnings():
+        # the module is already imported, which runpy warns about
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("eulergenus.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads(g.read_text())["n"] == 5
 
 
 def test_installed_entry_point():

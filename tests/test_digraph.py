@@ -200,6 +200,7 @@ def test_decomposition_json_round_trip():
     data = json.loads(json.dumps(dec.to_json_dict()))
     again = CircuitDecomposition.from_json_dict(dg, data)
     assert circuit_set(again) == circuit_set(dec)
+    assert len(again) == len(dec) == 1
 
 
 def test_underlying_simple_graph_drops_loops_and_parallels():

@@ -44,6 +44,9 @@ def test_face_walk_accessors(three_loops):
     assert face.visits(0)
     assert face.arcs() == (0, 2, 1)
     assert face.vertex_set() == frozenset({0})
+    # a face traced again is equal and hashes alike
+    again = embed_from_decomposition(digraph, decomposition).antifaces[0]
+    assert again is not face and {again} == {face}
 
 
 def test_alternation_positions_exist_for_interlaced_visits():
@@ -73,6 +76,8 @@ def test_alternation_positions_count_a_loop_run_once():
     assert face.alternation_positions(1, 0) == (2, 3, 4, 0)
     # the same visits without the second run of 1 do not interlace
     assert _walk_through((0, 0, 1, 0)).alternation_positions(0, 1) is None
+    # nor do vertices the face never visits
+    assert face.alternation_positions(2, 3) is None
 
 
 def test_alternation_positions_join_a_run_across_the_walk_end():

@@ -3,6 +3,7 @@ reader per input type, and a malformed one raises only the library's errors."""
 
 import json
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,26 +15,63 @@ from eulergenus import (
     DirectedCircuit,
     EmbeddingError,
     GraphError,
+    HypothesisError,
     OrientedDirectedEmbedding,
     UndirectedGraph,
+    blow_up,
+    diamond_search,
     embed_from_decomposition,
     euler_circuit,
     eulerian_orientation,
+    extract_dense_subgraph,
+    gen_kn_minus_pm,
     gen_rotational_tournament,
+    merge_interlaced,
+    merge_three_at_vertex,
+    relative_upper_from_partial,
     split_circuit_at,
+    undirected_euler_circuit,
     undirected_upper_embedding,
 )
+from eulergenus.embedding import euler_genus
 from eulergenus import digraph as digraph_module
 from eulergenus import embedding as embedding_module
 
-from conftest import circuit_set
+from conftest import circuit_set, nth_state
 
 
 @pytest.fixture(scope="module")
 def t7():
+    """The 7-tournament, one euler circuit, and its canonical embedding,
+    whose antifaces 0, 2 and 4 visit {0, 1, 4, 6}, {0, 1, 2, 3, 5, 6} and
+    every vertex."""
     digraph = gen_rotational_tournament(7)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     return digraph, decomposition, embed_from_decomposition(digraph, decomposition)
+
+
+@cache
+def _kn8():
+    """A locally irreducible embedding of K_8 minus a perfect matching (k = 1)
+    over one euler circuit, stream state 91: antiface 0 visits every vertex,
+    antiface 12 visits {1, 2, 3} and antiface 36 visits {4, 5, 6}."""
+    digraph = gen_kn_minus_pm(8)
+    emb = nth_state(digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]), 91)
+    return emb, emb.antiface(0)
+
+
+@cache
+def _pendant():
+    """A 5-cycle with a chord digon and a digon to vertex 5, whose one
+    neighbor puts k + 3 = 7 above the order: the canonical embedding,
+    antifaces 0 on {0, 1, 2, 3, 4} and 10 on {0, 5}."""
+    digraph = Digraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 0),
+                          (1, 3), (3, 1)])
+    emb = embed_from_decomposition(digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]))
+    return emb, emb.antiface(0), emb.antiface(10)
+
+
+_TWO_LOOPS = Digraph(2, [(0, 0), (1, 1)])
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -96,6 +134,57 @@ def t7():
      GraphError, "piece count -1 is not a positive integer"),
     (lambda d, c, e: split_circuit_at(c, 0, 0, pieces=True),
      GraphError, "piece count True is not a positive integer"),
+    (lambda d, c, e: relative_upper_from_partial(d, 5),
+     GraphError, "the circuit list is 5, not a sequence"),
+    (lambda d, c, e: relative_upper_from_partial(d, None),
+     GraphError, "the circuit list is None, not a sequence"),
+    (lambda d, c, e: relative_upper_from_partial(d, [DirectedCircuit(_TWO_LOOPS, [0])]),
+     GraphError, "partial circuit belongs to a different digraph"),
+    (lambda d, c, e: relative_upper_from_partial(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)]),
+                                                 [[0, 1, 2]]),
+     GraphError, "leftover arcs are unbalanced at vertices [0, 1]"),
+    (lambda d, c, e: CircuitDecomposition(d, [DirectedCircuit(_TWO_LOOPS, [0])]),
+     GraphError, "circuit belongs to a different digraph"),
+    (lambda d, c, e: embed_from_decomposition(_TWO_LOOPS, c),
+     GraphError, "decomposition belongs to a different digraph"),
+    (lambda d, c, e: euler_genus(embed_from_decomposition(
+        _TWO_LOOPS, CircuitDecomposition.from_arc_lists(_TWO_LOOPS, [[0], [1]]))),
+     GraphError, "genus is defined for connected digraphs only"),
+    (lambda d, c, e: UndirectedGraph(3, [(0, 1), (2, 2)]),
+     GraphError, "edge 1 is a loop; orientation input must be loop-free"),
+    (lambda d, c, e: undirected_euler_circuit(UndirectedGraph(3, [])),
+     GraphError, "graph has no edges"),
+    (lambda d, c, e: undirected_euler_circuit(
+        UndirectedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])),
+     GraphError, "graph is not connected"),
+    (lambda d, c, e: UndirectedGraph(3, [(0, 1)]).other_end(0, 2),
+     GraphError, "edge 0 is not incident with vertex 2"),
+    (lambda d, c, e: extract_dense_subgraph({0: set()}, 1),
+     HypothesisError, "1 vertices, need at least 2"),
+    (lambda d, c, e: merge_three_at_vertex(e, 0, e.antiface(0), e.antiface(0), e.antiface(2)),
+     EmbeddingError, "the three antifaces must be distinct"),
+    (lambda d, c, e: merge_interlaced(e, e.antiface(4), e.antiface(0), e.antiface(2), 0, 4),
+     HypothesisError, "vertex 4 must lie on the third face"),
+    (lambda d, c, e: merge_interlaced(e, e.antiface(0), e.antiface(2), e.antiface(4), 0, 1),
+     HypothesisError, "vertices 0 and 1 do not interlace on the face to split"),
+    (lambda d, c, e: blow_up(_pendant()[0], _pendant()[1], _pendant()[1], 0),
+     HypothesisError, "the two antifaces must be distinct"),
+    (lambda d, c, e: blow_up(*_pendant(), 2),
+     HypothesisError, "vertex 2 must lie on both antifaces"),
+    (lambda d, c, e: blow_up(*_pendant(), 0),
+     HypothesisError, "order 6 below k + 3 = 7"),
+    (lambda d, c, e: diamond_search(*_kn8(), 1, 1, 2, 3),
+     HypothesisError, "path vertices must be three distinct vertices"),
+    (lambda d, c, e: diamond_search(*_kn8(), 0, 1, 2, 3),
+     HypothesisError, "vertex 0 lies on no second antiface"),
+    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 4, 0),
+     HypothesisError, "path vertices must share one second antiface"),
+    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 0),
+     HypothesisError, "witness must lie on a second antiface different from the path's"),
+    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 5),
+     HypothesisError, "witness 5 is not adjacent to path vertex 1"),
+    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 4),
+     HypothesisError, "path edges must be consecutive pairs of the face walk"),
 ], ids=["digraph-triple", "digraph-int-arc", "digraph-int-arcs", "undirected-triple",
         "embedding-int-rotations", "embedding-none", "with-rotation-none",
         "with-rotation-vertex-below", "with-rotation-vertex-above", "with-rotation-bool-vertex",
@@ -103,7 +192,16 @@ def t7():
         "decomposition-none", "split-index-above", "split-index-below",
         "split-vertex-above", "split-vertex-below", "split-bool-vertex", "split-str-pieces",
         "split-none-pieces", "split-float-pieces", "split-zero-pieces", "split-negative-pieces",
-        "split-bool-pieces"])
+        "split-bool-pieces", "partial-int", "partial-none", "partial-other-digraph",
+        "partial-unbalanced-leftover", "decomposition-other-digraph",
+        "embed-other-digraph", "genus-disconnected", "undirected-loop",
+        "undirected-circuit-edgeless", "undirected-circuit-disconnected",
+        "undirected-other-end", "dense-subgraph-few-vertices", "merge-three-repeated-face",
+        "merge-interlaced-y-off-third-face", "merge-interlaced-no-interlacing",
+        "blow-up-repeated-face", "blow-up-vertex-off-partner", "blow-up-order-below-k-plus-3",
+        "diamond-repeated-path-vertex", "diamond-path-off-second-face",
+        "diamond-path-second-faces-differ", "diamond-witness-off-second-face",
+        "diamond-witness-not-adjacent", "diamond-path-off-walk"])
 def test_malformed_inputs_raise_library_errors(t7, build, error, message):
     with pytest.raises(error) as info:
         build(*t7)

@@ -28,6 +28,7 @@ from eulergenus import (
     gen_rotational_tournament,
     iter_relative_embeddings,
     merge_three_at_vertex,
+    reduce_to_upper_embedding,
     three_neighbor_search,
     usg_walk,
 )
@@ -341,6 +342,18 @@ def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7):
     assert certificates >= 1
 
 
+def test_route_checks_decline_a_repeated_face_or_an_empty_pool(tournament7):
+    """Handed one face twice, or the only antiface, whose pool of two-face
+    vertices is empty, a route check returns None rather than raising."""
+    emb, _ = next(_irreducible_states(*tournament7))
+    a, b = emb.antifaces[:2]
+    assert check_big_moderate(emb, a, a, b) is None
+    assert check_diamond_corollary(emb, a, a) is None
+    one, _ = reduce_to_upper_embedding(*tournament7)
+    assert len(one.antifaces) == 1
+    assert check_three_neighbor_corollary(one, one.antifaces[0]) is None
+
+
 def test_certificates_really_interlace(tournament7, sts7):
     for digraph, decomposition in (tournament7, sts7):
         for emb, table in _irreducible_states(digraph, decomposition):
@@ -393,6 +406,12 @@ def test_extractor_rejects_complete_bipartite_at_the_bound():
     k23 = {0: {2, 3, 4}, 1: {2, 3, 4}, 2: {0, 1}, 3: {0, 1}, 4: {0, 1}}
     with pytest.raises(HypothesisError, match="do not exceed"):
         extract_dense_subgraph(k23, 2)
+
+
+def test_extractor_skips_a_vertex_queued_twice():
+    # both ends of the edge {5, 6} start on the queue, and peeling 6 queues 5 again
+    graph = {0: {2, 3, 4}, 1: {2, 3, 4}, 2: {0, 1}, 3: {0, 1}, 4: {0, 1}, 5: {6}, 6: {5}}
+    assert extract_dense_subgraph(graph, 1) == frozenset(range(5))
 
 
 def test_extractor_keeps_a_high_min_degree_core():

@@ -648,20 +648,51 @@ def test_a_two_cut_start_is_continued_not_replaced():
     assert certify_maximal(emb, digraph, decomposition).passed
 
 
-def test_best_effort_reduces_every_two_vertex_start():
+def _two_vertex_starts():
     """One arc each way and one to three loops at each end: nine digraphs,
-    81 starting embeddings, every one reduced to the oracle minimum."""
-    starts = 0
+    81 starting embeddings."""
     for near, far in itertools.product((1, 2, 3), repeat=2):
         digraph = Digraph(2, [(0, 1), (1, 0)] + [(0, 0)] * near + [(1, 1)] * far)
         decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
         for start in iter_relative_embeddings(digraph, decomposition):
-            emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT)
-            assert verify_embedding(emb, decomposition).ok
-            assert trace.validate() == []
-            assert certify_maximal(emb, digraph, decomposition).passed
-            starts += 1
+            yield digraph, decomposition, start
+
+
+def test_best_effort_reduces_every_two_vertex_start():
+    """Every one of the 81 two-vertex starts reduced to the oracle minimum."""
+    starts = 0
+    for digraph, decomposition, start in _two_vertex_starts():
+        emb, trace = reduce_embedding(start, decomposition, BEST_EFFORT)
+        assert verify_embedding(emb, decomposition).ok
+        assert trace.validate() == []
+        assert certify_maximal(emb, digraph, decomposition).passed
+        starts += 1
     assert starts == 81
+
+
+def test_a_two_vertex_state_left_with_three_antifaces_is_the_path_configuration(
+        monkeypatch):
+    """When the case-1 merges stop on two vertices with three or more
+    antifaces left, those are one face on both vertices and one on each
+    vertex alone: a face holding an arc between the vertices visits both,
+    and two such faces would leave no room for a third."""
+    left = []
+    real_merge = _Reducer.merge_reducible_vertex
+
+    def recording_merge(reducer):
+        merged = real_merge(reducer)
+        if not merged:
+            left.append(reducer.emb)
+        return merged
+
+    monkeypatch.setattr(_Reducer, "merge_reducible_vertex", recording_merge)
+    for _, decomposition, start in _two_vertex_starts():
+        reduce_embedding(start, decomposition, BEST_EFFORT)
+    assert len(left) == 81
+    crowded = [emb for emb in left if len(emb.antifaces) >= 3]
+    for emb in crowded:
+        assert sorted(sorted(face.vertex_set()) for face in emb.antifaces) == [[0], [0, 1], [1]]
+    assert crowded
 
 
 def test_validate_steps_checks_the_small_order_path_merge(monkeypatch):

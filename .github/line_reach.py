@@ -21,7 +21,8 @@ repeats among the function's executable lines, its 1-based occurrence.
 Entries carry no line numbers, so edits elsewhere do not churn the list.
 
 The script fails on an unrun line that is not listed, on a listed line that
-now runs or no longer exists, and on a failing test.  It prints the entries
+now runs or no longer exists, and on a failing test.  On any Python but 3.11
+it exits 2 at once, before running the suite.  It prints the entries
 that are missing in the list's own format.
 """
 
@@ -120,6 +121,11 @@ def as_entry(key, repeats):
 
 
 def main():
+    if sys.version_info[:2] != (3, 11):
+        version = ".".join(map(str, sys.version_info[:3]))
+        print(f"the list is written for Python 3.11's line tables; this is {version}",
+              file=sys.stderr)
+        return 2
     with open(LISTED) as fh:
         listed = json.load(fh)
     problems = []

@@ -17,9 +17,8 @@ from .errors import (EmbeddingError, GraphError, HypothesisError,
 from .generate import (gen_kn_minus_pm, gen_random_dense_eulerian,
                        gen_rotational_tournament, gen_sts, split_circuit_at,
                        steiner_triple_system)
-from .interlace import (InterlacingCertificate, TypeTable,
-                        check_big_moderate, check_diamond_corollary,
-                        check_three_neighbor_corollary, diamond_search,
+from .interlace import (InterlacingCertificate, TypeTable, check_big_moderate,
+                        check_diamond_corollary, check_three_neighbor_corollary,
                         extract_dense_subgraph, find_vertex_on_three_antifaces,
                         three_neighbor_search, usg_walk)
 from .oracle import (CertificationResult, OracleSummary, certify_maximal,
@@ -35,7 +34,7 @@ from .surgery import (BLACK, RED, WHITE, DivisionResult, SurgeryResult,
 from .touch import (TouchClassification, build_touch_graph, classify,
                     touch_graph_dot)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BEST_EFFORT", "BLACK", "CertificationResult", "CircuitDecomposition",
@@ -48,7 +47,7 @@ __all__ = [
     "VerificationReport", "WHITE", "blow_up", "build_touch_graph",
     "certify_maximal", "check_big_moderate", "check_diamond_corollary",
     "check_three_neighbor_corollary", "classify", "density_profile",
-    "diamond_search", "division_search", "embed_from_decomposition",
+    "division_search", "embed_from_decomposition",
     "embedding_svg", "enumerate_relative_embeddings", "euler_circuit",
     "euler_genus", "eulerian_orientation", "extract_dense_subgraph",
     "find_vertex_on_three_antifaces", "gen_kn_minus_pm",

@@ -89,13 +89,12 @@ class TypeTable:
 class InterlacingCertificate:
     """Witness that x, y alternate on ``face`` with partner faces attached."""
 
-    __slots__ = ("face", "x", "y", "positions", "face_x", "face_y")
+    __slots__ = ("face", "x", "y", "face_x", "face_y")
 
-    def __init__(self, face, x, y, positions, face_x, face_y):
+    def __init__(self, face, x, y, face_x, face_y):
         self.face = face
         self.x = x
         self.y = y
-        self.positions = positions
         self.face_x = face_x
         self.face_y = face_y
 
@@ -114,17 +113,10 @@ def find_vertex_on_three_antifaces(embedding):
 
 
 def usg_walk(face):
-    """Corner sequence with cyclically consecutive duplicates removed.
-
-    Returns (vertices, positions) where positions[i] is the corner index
-    starting the i-th run.
-    """
+    """Corner sequence with cyclically consecutive duplicates removed."""
     corners = face.corners
-    t = len(corners)
-    starts = [j for j in range(t) if corners[j] != corners[j - 1]]
-    if not starts:
-        return [corners[0]], [0]
-    return [corners[j] for j in starts], starts
+    walk = [corners[j] for j in range(len(corners)) if corners[j] != corners[j - 1]]
+    return walk or [corners[0]]
 
 
 def walk_edge_pairs(vertices):
@@ -138,12 +130,11 @@ def walk_edge_pairs(vertices):
 
 
 def _certificate(table, face, x, y):
-    positions = face.alternation_positions(x, y)
-    if positions is None:
+    if face.alternation_positions(x, y) is None:
         raise EmbeddingError(f"vertices {x} and {y} do not interlace on the face")
     face_x = table.faces[table.partner(x, face.key)]
     face_y = table.faces[table.partner(y, face.key)]
-    return InterlacingCertificate(face, x, y, positions, face_x, face_y)
+    return InterlacingCertificate(face, x, y, face_x, face_y)
 
 
 def three_neighbor_search(embedding, face, candidates):
@@ -155,6 +146,13 @@ def three_neighbor_search(embedding, face, candidates):
     The scan walks intervals between repeated candidate occurrences in
     ascending (length, start) order and takes the first interval holding a
     cross-type candidate.
+
+    The scan stops at an interlaced pair.  Cross-type neighbors share only
+    ``face``, so they are consecutive in its walk: each candidate occurs
+    twice or more, each neighbor inside an interval between two occurrences.
+    Were y only inside x's interval, two consecutive y's would enclose one of
+    its three neighbors, at most two being just outside them: a shorter
+    interval, which the scan takes first.
     """
     table = TypeTable(embedding)
     face = embedding.own_antiface(face)
@@ -180,32 +178,29 @@ def three_neighbor_search(embedding, face, candidates):
                 f"candidate {v} has only {cross} cross-type candidate neighbors, needs 3"
             )
 
-    walk, _ = usg_walk(face)
+    walk = usg_walk(face)
     length = len(walk)
-    in_set = set(chosen)
     for gap in range(2, length):
         for start in range(length):
             x = walk[start]
-            if x not in in_set or walk[(start + gap) % length] != x:
+            if x not in partner or walk[(start + gap) % length] != x:
                 continue
             for step in range(1, gap):
                 y = walk[(start + step) % length]
-                if y in in_set and partner[y] != partner[x]:
-                    interval = {(start + d) % length for d in range(gap + 1)}
-                    outside = any(
-                        walk[q] == y for q in range(length) if q not in interval
-                    )
-                    if outside:
-                        return _certificate(table, face, x, y)
-                    raise HypothesisError(
-                        f"vertex {y} lies only inside the minimal interval of {x}"
-                    )
-    raise HypothesisError("no repeated candidate vertex encloses a cross-type candidate")
+                if y in partner and partner[y] != partner[x]:
+                    return _certificate(table, face, x, y)
+    raise EmbeddingError("no repeated candidate vertex encloses a cross-type candidate")
 
 
 def diamond_search(embedding, face, t, u, v, x):
     """Interlaced pair from a diamond: a path t, u, v sharing one second
     face, plus a witness x adjacent to all three with a different second face.
+
+    The caller, ``check_diamond_corollary``, has established each premise:
+    t, u and v are three distinct vertices of type exactly {A, B}, and
+    ``face`` is the embedding's own A or B; x lies on ``face`` and on a
+    face outside {A, B} and is adjacent to t, u and v; t-u and u-v are
+    consecutive pairs of the face's walk.
 
     Every arc between x and one of t, u, v lies on ``face``, so some
     traversal direction of the face walks x directly into u.  The interval
@@ -214,30 +209,7 @@ def diamond_search(embedding, face, t, u, v, x):
     otherwise u.
     """
     table = TypeTable(embedding)
-    face = embedding.own_antiface(face)
-    if len({t, u, v}) != 3:
-        raise HypothesisError("path vertices must be three distinct vertices")
-    second = {w: table.partner(w, face.key) for w in (t, u, v)}
-    for w in (t, u, v):
-        if second[w] is None:
-            raise HypothesisError(f"vertex {w} lies on no second antiface")
-    if len(set(second.values())) != 1:
-        raise HypothesisError("path vertices must share one second antiface")
-    shared = second[t]
-    x_partner = table.partner(x, face.key)
-    if x_partner is None or x_partner == shared:
-        raise HypothesisError(
-            "witness must lie on a second antiface different from the path's"
-        )
-    adjacency = underlying_simple_graph(embedding.digraph)
-    for w in (t, u, v):
-        if w not in adjacency[x]:
-            raise HypothesisError(f"witness {x} is not adjacent to path vertex {w}")
-    walk, _ = usg_walk(face)
-    edges = walk_edge_pairs(walk)
-    if frozenset((t, u)) not in edges or frozenset((u, v)) not in edges:
-        raise HypothesisError("path edges must be consecutive pairs of the face walk")
-
+    walk = usg_walk(face)
     length = len(walk)
     oriented = None
     for candidate in (walk, walk[::-1]):
@@ -341,8 +313,8 @@ def check_diamond_corollary(embedding, face_a, face_b):
     adjacency = underlying_simple_graph(embedding.digraph)
     pool = [w for w in shared if w in adjacency[x_a] and w in adjacency[x_b]]
 
-    edges_a = walk_edge_pairs(usg_walk(a)[0])
-    edges_b = walk_edge_pairs(usg_walk(b)[0])
+    edges_a = walk_edge_pairs(usg_walk(a))
+    edges_b = walk_edge_pairs(usg_walk(b))
 
     def classes(p, q):
         """Which of the two face walks carry an arc between p and q."""

@@ -487,14 +487,17 @@ class _Reducer:
 
 
 def _check_input(digraph, decomposition, mode):
-    """Reject a decomposition of another digraph, a disconnected digraph, an
-    unknown mode, and in strict mode a digraph outside the theorem's
-    hypotheses of order at least 7 and density.  A decomposition puts every
-    arc on a closed circuit, so the digraph it belongs to is balanced."""
+    """Reject a decomposition of another digraph, a disconnected digraph, a
+    digraph with no arcs, an unknown mode, and in strict mode a digraph
+    outside the theorem's hypotheses of order at least 7 and density.  A
+    decomposition puts every arc on a closed circuit, so the digraph it
+    belongs to is balanced."""
     if decomposition.digraph != digraph:
         raise GraphError("decomposition belongs to a different digraph")
     if not digraph.is_connected():
         raise GraphError("digraph is not connected")
+    if digraph.m == 0:
+        raise GraphError("digraph has no arcs")
     if mode not in (STRICT, BEST_EFFORT):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == STRICT:
@@ -550,14 +553,13 @@ def _small_order(reducer):
     spanning = [f for f in emb.antifaces if len(f.vertex_set()) == 2]
     single = [f for f in emb.antifaces if len(f.vertex_set()) == 1]
     u, w = (min(face.vertex_set()) for face in single)
-    positions = spanning[0].alternation_positions(u, w)
-    if positions is None:
+    if spanning[0].alternation_positions(u, w) is None:
         # The crossing face is the only face on both vertices, so it holds
         # every arc between them; u and w fail to interlace on it only when
         # there is one arc each way.  No merge is left, and each vertex
         # already sits at its own parity floor, so three is the minimum.
         return emb, reducer.trace
-    cert = InterlacingCertificate(spanning[0], u, w, positions, *single)
+    cert = InterlacingCertificate(spanning[0], u, w, *single)
     reducer.merge_cert(cert, "small-a", None)
     return reducer.emb, reducer.trace
 

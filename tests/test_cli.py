@@ -436,6 +436,17 @@ def test_more_vertices_than_arcs_are_refused_before_allocating(tmp_path, capsys)
     assert "bad digraph JSON: 300000 vertices but only 0 arcs" in err
 
 
+def test_a_digraph_with_no_arcs_is_refused_in_both_modes(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    c = tmp_path / "c.json"
+    g.write_text(json.dumps({"n": 1, "arcs": []}))
+    c.write_text(json.dumps({"circuits": []}))
+    for mode in ([], ["--best-effort"]):
+        code, out, err = run(["embed", "--in", str(g), "--circuits", str(c),
+                              "--out", "-", *mode], capsys)
+        assert (code, out, err) == (1, "", "error: digraph has no arcs\n")
+
+
 def test_strict_gate_maps_to_exit_code_two(tmp_path, capsys):
     digraph = circulant(11, (1, 2, 3))
     g = tmp_path / "g.json"

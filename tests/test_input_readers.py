@@ -19,15 +19,14 @@ from eulergenus import (
     OrientedDirectedEmbedding,
     UndirectedGraph,
     blow_up,
-    diamond_search,
     embed_from_decomposition,
     euler_circuit,
     eulerian_orientation,
     extract_dense_subgraph,
-    gen_kn_minus_pm,
     gen_rotational_tournament,
     merge_interlaced,
     merge_three_at_vertex,
+    reduce_to_upper_embedding,
     relative_upper_from_partial,
     split_circuit_at,
     undirected_euler_circuit,
@@ -37,7 +36,7 @@ from eulergenus.embedding import euler_genus
 from eulergenus import digraph as digraph_module
 from eulergenus import embedding as embedding_module
 
-from conftest import circuit_set, nth_state
+from conftest import circuit_set
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +47,6 @@ def t7():
     digraph = gen_rotational_tournament(7)
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     return digraph, decomposition, embed_from_decomposition(digraph, decomposition)
-
-
-@cache
-def _kn8():
-    """A locally irreducible embedding of K_8 minus a perfect matching (k = 1)
-    over one euler circuit, stream state 91: antiface 0 visits every vertex,
-    antiface 12 visits {1, 2, 3} and antiface 36 visits {4, 5, 6}."""
-    digraph = gen_kn_minus_pm(8)
-    emb = nth_state(digraph, CircuitDecomposition(digraph, [euler_circuit(digraph)]), 91)
-    return emb, emb.antiface(0)
 
 
 @cache
@@ -72,6 +61,7 @@ def _pendant():
 
 
 _TWO_LOOPS = Digraph(2, [(0, 0), (1, 1)])
+_ONE_VERTEX = Digraph(1, [])
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -173,18 +163,11 @@ _TWO_LOOPS = Digraph(2, [(0, 0), (1, 1)])
      HypothesisError, "vertex 2 must lie on both antifaces"),
     (lambda d, c, e: blow_up(*_pendant(), 0),
      HypothesisError, "order 6 below k + 3 = 7"),
-    (lambda d, c, e: diamond_search(*_kn8(), 1, 1, 2, 3),
-     HypothesisError, "path vertices must be three distinct vertices"),
-    (lambda d, c, e: diamond_search(*_kn8(), 0, 1, 2, 3),
-     HypothesisError, "vertex 0 lies on no second antiface"),
-    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 4, 0),
-     HypothesisError, "path vertices must share one second antiface"),
-    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 0),
-     HypothesisError, "witness must lie on a second antiface different from the path's"),
-    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 5),
-     HypothesisError, "witness 5 is not adjacent to path vertex 1"),
-    (lambda d, c, e: diamond_search(*_kn8(), 1, 2, 3, 4),
-     HypothesisError, "path edges must be consecutive pairs of the face walk"),
+    (lambda d, c, e: reduce_to_upper_embedding(
+        _ONE_VERTEX, CircuitDecomposition(_ONE_VERTEX, []), BEST_EFFORT),
+     GraphError, "digraph has no arcs"),
+    (lambda d, c, e: relative_upper_from_partial(_ONE_VERTEX, [], BEST_EFFORT),
+     GraphError, "digraph has no arcs"),
 ], ids=["digraph-triple", "digraph-int-arc", "digraph-int-arcs", "undirected-triple",
         "embedding-int-rotations", "embedding-none", "with-rotation-none",
         "with-rotation-vertex-below", "with-rotation-vertex-above", "with-rotation-bool-vertex",
@@ -199,9 +182,7 @@ _TWO_LOOPS = Digraph(2, [(0, 0), (1, 1)])
         "undirected-other-end", "dense-subgraph-few-vertices", "merge-three-repeated-face",
         "merge-interlaced-y-off-third-face", "merge-interlaced-no-interlacing",
         "blow-up-repeated-face", "blow-up-vertex-off-partner", "blow-up-order-below-k-plus-3",
-        "diamond-repeated-path-vertex", "diamond-path-off-second-face",
-        "diamond-path-second-faces-differ", "diamond-witness-off-second-face",
-        "diamond-witness-not-adjacent", "diamond-path-off-walk"])
+        "reduce-arcless", "partial-arcless"])
 def test_malformed_inputs_raise_library_errors(t7, build, error, message):
     with pytest.raises(error) as info:
         build(*t7)

@@ -30,8 +30,10 @@ from eulergenus import (
     merge_three_at_vertex,
     reduce_to_upper_embedding,
     three_neighbor_search,
+    underlying_simple_graph,
     usg_walk,
 )
+from eulergenus import interlace
 from eulergenus.interlace import walk_edge_pairs
 
 from conftest import circulant, nth_state, reference_find_three
@@ -192,15 +194,13 @@ def test_usg_walk_collapses_consecutive_repeats():
     dg = Digraph(2, [(0, 1), (1, 1), (1, 0)])
     face = FaceWalk(dg, (0, 2, 4), "anti")
     assert face.corners == (1, 1, 0)
-    vertices, starts = usg_walk(face)
-    assert vertices == [1, 0]
-    assert starts == [0, 2]
+    assert usg_walk(face) == [1, 0]
 
 
 def test_usg_walk_single_vertex(three_loops):
     digraph, _ = three_loops
     face = FaceWalk(digraph, (0, 2, 4), "anti")
-    assert usg_walk(face) == ([0], [0])
+    assert usg_walk(face) == [0]
 
 
 def test_walk_edge_pairs_are_unordered_and_cyclic():
@@ -282,11 +282,7 @@ def test_margin_gate_matches_the_returned_value(tournament7, sts7):
                     default=0,
                 )
                 gated = not pool or len(pool) - overlap < k + 3
-                try:
-                    got = check_three_neighbor_corollary(emb, face)
-                except HypothesisError:
-                    assert not gated
-                    continue
+                got = check_three_neighbor_corollary(emb, face)
                 if gated:
                     assert got is None
                 else:
@@ -307,11 +303,7 @@ def test_size_gate_matches_the_returned_value(tournament7, sts7):
                 or len(b.vertex_set()) < 2 * k + 3
                 or len(c.vertex_set()) < 2 * k + 3
             )
-            try:
-                got = check_big_moderate(emb, a, b, c)
-            except HypothesisError:
-                assert not small
-                continue
+            got = check_big_moderate(emb, a, b, c)
             if small:
                 assert got is None
             else:
@@ -320,7 +312,27 @@ def test_size_gate_matches_the_returned_value(tournament7, sts7):
     assert certificates >= 1
 
 
-def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7):
+def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7, monkeypatch):
+    # the diamond search checks none of its premises: its one caller, the
+    # diamond route's check, must hand it every one at each call
+    calls = []
+    search = interlace.diamond_search
+
+    def checked(emb, face, t, u, v, x):
+        table = TypeTable(emb)
+        assert emb.own_antiface(face) is face
+        assert len({t, u, v}) == 3
+        second = {table.partner(w, face.key) for w in (t, u, v)}
+        assert len(second) == 1 and None not in second
+        assert table.partner(x, face.key) not in second | {None}
+        adjacency = underlying_simple_graph(emb.digraph)
+        assert all(w in adjacency[x] for w in (t, u, v))
+        edges = walk_edge_pairs(usg_walk(face))
+        assert frozenset((t, u)) in edges and frozenset((u, v)) in edges
+        calls.append((t, u, v, x))
+        return search(emb, face, t, u, v, x)
+
+    monkeypatch.setattr(interlace, "diamond_search", checked)
     certificates = 0
     for digraph, decomposition in (tournament7, sts7):
         k = density_profile(digraph).k
@@ -330,16 +342,13 @@ def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7):
                 few = not (
                     (k == 0 and len(shared) >= 3) or len(shared) >= 3 * k + 4
                 )
-                try:
-                    got = check_diamond_corollary(emb, a, b)
-                except HypothesisError:
-                    assert not few
-                    continue
+                got = check_diamond_corollary(emb, a, b)
                 if few:
                     assert got is None
                 elif got is not None:
                     certificates += 1
     assert certificates >= 1
+    assert calls
 
 
 def test_route_checks_decline_a_repeated_face_or_an_empty_pool(tournament7):
@@ -358,10 +367,7 @@ def test_certificates_really_interlace(tournament7, sts7):
     for digraph, decomposition in (tournament7, sts7):
         for emb, table in _irreducible_states(digraph, decomposition):
             for face in emb.antifaces:
-                try:
-                    cert = check_three_neighbor_corollary(emb, face)
-                except HypothesisError:
-                    continue
+                cert = check_three_neighbor_corollary(emb, face)
                 if cert is None:
                     continue
                 assert cert.face.key == face.key

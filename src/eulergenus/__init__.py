@@ -55,7 +55,7 @@ __all__ = [
     "iter_relative_embeddings", "merge_interlaced", "merge_three_at_vertex",
     "reduce_embedding", "reduce_to_upper_embedding",
     "relative_upper_from_partial", "split_circuit_at", "split_swap",
-    "state_count", "steiner_triple_system", "touch_graph_dot",
-    "underlying_simple_graph", "undirected_euler_circuit",
+    "state_count", "steiner_triple_system", "three_neighbor_search",
+    "touch_graph_dot", "underlying_simple_graph", "undirected_euler_circuit",
     "undirected_upper_embedding", "usg_walk", "verify_embedding",
 ]

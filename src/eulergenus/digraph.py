@@ -11,8 +11,10 @@ they are asked for: the connectivity flag behind ``is_connected()`` and the
 remembers its connectivity likewise).  Each costs a few
 machine words, and the embed pipeline otherwise asks for each several times
 over.  The loop-free simple adjacency (``underlying_simple_graph``) is not
-kept: it holds a set per vertex, O(n + m) words on a dense digraph, and a
-process that keeps many digraphs alive would pay for every one of them.
+kept: it holds a set per vertex, O(n + m) words on a dense digraph, which
+every live digraph would pay for.  Only ``density_profile`` builds it; the
+case machine reads adjacency as steps of the antiface walks it holds, since
+an arc lies on the one antiface that visits both its ends.
 """
 
 from collections import deque

@@ -505,6 +505,7 @@ def verify_embedding(embedding, decomposition=None):
             ("profaces-match", f"profaces differ from the given circuits, e.g. {extra[:2]}")
         )
 
+    # an odd euler genus 2 - (n - m + P + A) is this same parity fault
     expected_parity = (digraph.n + digraph.m + len(profaces)) % 2
     if len(antifaces) % 2 != expected_parity:
         failures.append(
@@ -514,10 +515,5 @@ def verify_embedding(embedding, decomposition=None):
                 f"n={digraph.n}, m={digraph.m}, profaces={len(profaces)}",
             )
         )
-
-    if digraph.is_connected():
-        gamma = 2 - (digraph.n - digraph.m + len(profaces) + len(antifaces))
-        if gamma % 2 != 0:
-            failures.append(("genus-integrality", f"euler genus {gamma} is odd"))
 
     return VerificationReport(failures, len(profaces), len(antifaces))

@@ -10,7 +10,7 @@ consumes.  Searches are deterministic: all scans run in ascending position
 or vertex order.
 """
 
-from .digraph import density_profile, underlying_simple_graph
+from .digraph import density_profile
 from .errors import EmbeddingError, GraphError, HypothesisError, LocalIrreducibilityError
 
 
@@ -141,18 +141,18 @@ def three_neighbor_search(embedding, face, candidates):
     """Interlaced cross-type pair among candidate vertices on one antiface.
 
     Every candidate must lie on ``face`` plus exactly one other antiface,
-    and must have at least three candidate neighbors of a different type in
-    the underlying simple graph; violations are reported with a witness.
-    The scan walks intervals between repeated candidate occurrences in
-    ascending (length, start) order and takes the first interval holding a
-    cross-type candidate.
+    and must have at least three candidate neighbors of a different type;
+    violations are reported with a witness.  The scan walks intervals
+    between repeated candidate occurrences in ascending (length, start)
+    order and takes the first interval holding a cross-type candidate.
 
-    The scan stops at an interlaced pair.  Cross-type neighbors share only
-    ``face``, so they are consecutive in its walk: each candidate occurs
-    twice or more, each neighbor inside an interval between two occurrences.
-    Were y only inside x's interval, two consecutive y's would enclose one of
-    its three neighbors, at most two being just outside them: a shorter
-    interval, which the scan takes first.
+    The scan stops at an interlaced pair.  An arc lies on one antiface,
+    which visits both its ends, and cross-type candidates share only
+    ``face``, so they are adjacent exactly when consecutive in its walk:
+    each candidate occurs twice or more, each neighbor inside an interval
+    between two occurrences.  Were y only inside x's interval, two
+    consecutive y's would enclose one of its three neighbors, at most two
+    being just outside them: a shorter interval, which the scan takes first.
     """
     table = TypeTable(embedding)
     face = embedding.own_antiface(face)
@@ -167,18 +167,18 @@ def three_neighbor_search(embedding, face, candidates):
                 f"candidate {v} is not on the face plus exactly one other antiface"
             )
         partner[v] = table.partner(v, face.key)
-    adjacency = underlying_simple_graph(embedding.digraph)
+    walk = usg_walk(face)
+    cross = {v: set() for v in chosen}
+    for v, w in walk_edge_pairs(walk):
+        if v in partner and w in partner and partner[v] != partner[w]:
+            cross[v].add(w)
+            cross[w].add(v)
     for v in chosen:
-        cross = sum(
-            1 for u in chosen
-            if u != v and u in adjacency[v] and partner[u] != partner[v]
-        )
-        if cross < 3:
+        if len(cross[v]) < 3:
             raise HypothesisError(
-                f"candidate {v} has only {cross} cross-type candidate neighbors, needs 3"
+                f"candidate {v} has only {len(cross[v])} cross-type candidate neighbors, needs 3"
             )
 
-    walk = usg_walk(face)
     length = len(walk)
     for gap in range(2, length):
         for start in range(length):
@@ -199,30 +199,23 @@ def diamond_search(embedding, face, t, u, v, x):
     The caller, ``check_diamond_corollary``, has established each premise:
     t, u and v are three distinct vertices of type exactly {A, B}, and
     ``face`` is the embedding's own A or B; x lies on ``face`` and on a
-    face outside {A, B} and is adjacent to t, u and v; t-u and u-v are
-    consecutive pairs of the face's walk.
+    face outside {A, B}; x-t, x-u, x-v, t-u and u-v are steps of the
+    face's walk.
 
-    Every arc between x and one of t, u, v lies on ``face``, so some
-    traversal direction of the face walks x directly into u.  The interval
-    from that x to its next occurrence decides the partner: t or v when its
-    edge to x stays outside the interval and {t_or_v, u} appears inside,
-    otherwise u.
+    Since x-u is a step, some traversal direction of the face walks x
+    directly into u.  The interval from that x to its next occurrence
+    decides the partner: t or v when its edge to x stays outside the
+    interval and {t_or_v, u} appears inside, otherwise u.
     """
     table = TypeTable(embedding)
     walk = usg_walk(face)
     length = len(walk)
-    oriented = None
-    for candidate in (walk, walk[::-1]):
-        for q in range(length):
-            if candidate[q] == x and candidate[(q + 1) % length] == u:
-                oriented = (candidate, q)
-                break
-        if oriented:
-            break
-    # all x-u arcs lie on this face, so one direction walks x into u
-    if oriented is None:
-        raise EmbeddingError(f"no arc of the face walk joins {x} and {u}")
-    ordered, q = oriented
+    ordered, q = next(
+        (candidate, q)
+        for candidate in (walk, walk[::-1])
+        for q in range(length)
+        if candidate[q] == x and candidate[(q + 1) % length] == u
+    )
     span = next(
         d for d in range(1, length + 1) if ordered[(q + d) % length] == x
     )
@@ -282,7 +275,8 @@ def check_diamond_corollary(embedding, face_a, face_b):
 
     Applicable when |AB| >= 3k + 4 (or just 3 when k = 0) and each face has
     a two-face vertex whose partner is outside {A, B}.  Builds a diamond
-    inside the shared vertices adjacent to both witnesses and delegates to
+    inside the shared vertices adjacent to both witnesses, reading each
+    adjacency as a step of A's or B's walk, and delegates to
     diamond_search on whichever face carries both path edges.
     """
     table = TypeTable(embedding)
@@ -308,13 +302,15 @@ def check_diamond_corollary(embedding, face_a, face_b):
     if x_a is None or x_b is None:
         return None
 
-    # each witness is off the shared vertices and misses at most k vertices,
-    # so the pool holds at least |AB| - 2k: three when k = 0, else k + 4
-    adjacency = underlying_simple_graph(embedding.digraph)
-    pool = [w for w in shared if w in adjacency[x_a] and w in adjacency[x_b]]
-
+    # an arc lies on one antiface, which visits both its ends: x_a and a
+    # shared vertex share only A, x_b and one only B, two shared ones A and
+    # B, so each of these adjacencies is a step of A's or B's walk
     edges_a = walk_edge_pairs(usg_walk(a))
     edges_b = walk_edge_pairs(usg_walk(b))
+    # each witness is off the shared vertices and misses at most k vertices,
+    # so the pool holds at least |AB| - 2k: three when k = 0, else k + 4
+    pool = [w for w in shared
+            if frozenset((x_a, w)) in edges_a and frozenset((x_b, w)) in edges_b]
 
     def classes(p, q):
         """Which of the two face walks carry an arc between p and q."""
@@ -340,7 +336,8 @@ def check_diamond_corollary(embedding, face_a, face_b):
     else:
         # u0 misses at most k of the other k + 3 or more pool vertices
         u0 = pool[0]
-        neighbors = [w for w in pool if w != u0 and w in adjacency[u0]]
+        neighbors = [w for w in pool[1:]
+                     if frozenset((u0, w)) in edges_a or frozenset((u0, w)) in edges_b]
         t1, t2, t3 = neighbors[:3]
         pairs = (
             ((u0, t1), (u0, t2), u0),

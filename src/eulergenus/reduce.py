@@ -61,13 +61,14 @@ are exactly the core's orbits.
 """
 
 from .digraph import (CircuitDecomposition, DirectedCircuit, _euler_circuits, _sequence,
-                      density_profile, eulerian_orientation, underlying_simple_graph)
+                      density_profile, eulerian_orientation)
 from .embedding import embed_from_decomposition, successors, verify_embedding
 from .errors import (EmbeddingError, GraphError, HypothesisError,
                      NoProgressError)
 from .interlace import (InterlacingCertificate, check_big_moderate,
                         check_diamond_corollary, check_three_neighbor_corollary,
-                        extract_dense_subgraph, three_neighbor_search)
+                        extract_dense_subgraph, three_neighbor_search, usg_walk,
+                        walk_edge_pairs)
 from .surgery import _rewire_three, blow_up, merge_interlaced
 from .touch import build_touch_graph, classify
 
@@ -410,18 +411,16 @@ class _Reducer:
 
     def bipartite_core_route(self, touch, big, partner):
         """Case 2.1.3 with k >= 1: candidates from a dense bipartite core
-        between the big face's private vertices and the shared ones."""
+        between the big face's private vertices and the shared ones.  Its
+        vertices are exactly those two kinds, and a private vertex and a
+        shared one share only the big face, which holds every arc between
+        them: the core's edges are the steps of its walk that cross."""
         shared = set(touch.link_vertices(big.key, partner.key))
-        private = sorted(big.vertex_set() - partner.vertex_set())
-        adjacency = underlying_simple_graph(self.digraph)
-        graph = {v: set() for v in private}
-        for w in shared:
-            graph[w] = set()
-        for v in private:
-            for w in adjacency[v]:
-                if w in shared:
-                    graph[v].add(w)
-                    graph[w].add(v)
+        graph = {v: set() for v in big.vertex_set()}
+        for v, w in walk_edge_pairs(usg_walk(big)):
+            if (v in shared) != (w in shared):
+                graph[v].add(w)
+                graph[w].add(v)
         survivors = extract_dense_subgraph(graph, 2)
         return three_neighbor_search(self.emb, big, sorted(survivors))
 

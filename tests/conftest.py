@@ -11,9 +11,11 @@ from eulergenus import (
     DirectedCircuit,
     OrientedDirectedEmbedding,
     euler_circuit,
+    find_vertex_on_three_antifaces,
     gen_rotational_tournament,
     gen_sts,
     iter_relative_embeddings,
+    merge_three_at_vertex,
 )
 from eulergenus.embedding import decomposition_blocks, flat_rotation
 from eulergenus.surgery import _rewire_three
@@ -119,6 +121,15 @@ def raise_antifaces(embedding, rng):
         if len(candidate.antifaces) > len(embedding.antifaces):
             embedding = candidate
     return embedding
+
+
+def merge_to_irreducible(embedding):
+    """Merge at the lowest vertex on three antifaces until none is left."""
+    while True:
+        hit = find_vertex_on_three_antifaces(embedding)
+        if hit is None:
+            return embedding
+        embedding = merge_three_at_vertex(embedding, hit[0], *hit[1]).embedding
 
 
 def reference_find_three(embedding):

@@ -1,15 +1,17 @@
-"""Pinned witnesses for the exits of the case machine's blow-up endings.
+"""Pinned witnesses for the exits of the case machine's blow-up endings,
+and for case 2.1.3's merge.
 
 Cases 2.2, 3.1 and 3.2.2 blow a face pair apart and then either merge at
 a vertex that now lies on three antifaces (case 1), stop because no loop
 appeared, or try a big-moderate merge that may fail its size hypotheses.
 A step that stops with the embedding unchanged (a no-op blow up and no
 loop) ends the run as a dead end, because the next step would repeat it.
-Each start in ``fixtures/case_witnesses.json`` reaches one of those exits,
-named by its ``case`` and ``exit`` fields.  They are small circulants and
-their circuits and start rotations come from the benchmark's
-``small-certify`` build: ``seed`` is the build's seed and ``index`` the
-instance's position in it.
+Case 2.1.3 blows nothing up: with k = 0 it merges through the diamond
+route.  Each start in ``fixtures/case_witnesses.json`` reaches one of
+those exits, named by its ``case`` and ``exit`` fields.  They are small
+circulants and their circuits and start rotations come from the
+benchmark's ``small-certify`` build: ``seed`` is the build's seed and
+``index`` the instance's position in it.
 
 For every start the fixture holds the digraph's arcs, the circuits, the
 start rotations and what a best-effort ``reduce_embedding`` gives: its
@@ -93,15 +95,17 @@ def test_witness_replays_its_exit(witness):
 
 
 def test_every_witness_runs_its_case():
-    """Each start reaches its case's blow up, so its exit is exercised.  The
-    two no-op starts are the exception: the reducer drops a step that left
-    the embedding unchanged, so their traces end in the dead-end text."""
+    """Each start reaches its case's blow up, or for case 2.1.3 its merge, so
+    its exit is exercised.  The two no-op starts are the exception: the
+    reducer drops a step that left the embedding unchanged, so their traces
+    end in the dead-end text."""
     for witness in WITNESSES:
         if (witness["seed"], witness["index"]) in {(3, 32), (4, 25)}:
             assert witness["dead_end"] == "case 2.2: the step left the embedding unchanged"
             continue
-        blow_ups = [step for step in witness["trace"] if step["operation"] == "blow_up"]
-        assert witness["case"] in {step["case"] for step in blow_ups}, witness["label"]
+        operation = "merge_interlaced" if witness["case"] == "2.1.3" else "blow_up"
+        steps = [step for step in witness["trace"] if step["operation"] == operation]
+        assert witness["case"] in {step["case"] for step in steps}, witness["label"]
 
 
 @pytest.mark.parametrize("witness", WITNESSES, ids=IDS)

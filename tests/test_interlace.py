@@ -25,8 +25,10 @@ from eulergenus import (
     euler_circuit,
     extract_dense_subgraph,
     find_vertex_on_three_antifaces,
+    gen_kn_minus_pm,
     gen_rotational_tournament,
     iter_relative_embeddings,
+    merge_interlaced,
     merge_three_at_vertex,
     reduce_to_upper_embedding,
     three_neighbor_search,
@@ -36,7 +38,8 @@ from eulergenus import (
 from eulergenus import interlace
 from eulergenus.interlace import walk_edge_pairs
 
-from conftest import circulant, nth_state, reference_find_three
+from conftest import (circulant, merge_to_irreducible, nth_state, reference_find_three,
+                      shuffled_blocks)
 
 
 def test_type_table_records_membership(double_digon):
@@ -361,6 +364,55 @@ def test_route_checks_decline_a_repeated_face_or_an_empty_pool(tournament7):
     one, _ = reduce_to_upper_embedding(*tournament7)
     assert len(one.antifaces) == 1
     assert check_three_neighbor_corollary(one, one.antifaces[0]) is None
+
+
+@pytest.mark.parametrize("seed, pair", [(2936, (5, 1)), (10497, (4, 3)), (10538, (2, 3))])
+def test_the_diamond_route_with_k_at_least_one(seed, pair):
+    """K_10 minus a perfect matching has k = 1.  From one euler circuit with
+    seeded block orders, merging at crowded vertices leaves three antifaces,
+    and the first two certify through the diamond route's k >= 1 branch,
+    which reads its pool and its hub's neighbours from their walks."""
+    digraph = gen_kn_minus_pm(10)
+    decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+    emb = merge_to_irreducible(shuffled_blocks(digraph, decomposition, random.Random(seed)))
+    assert density_profile(digraph).k == 1
+    first, second, third = emb.antifaces
+    cert = check_diamond_corollary(emb, first, second)
+    assert (cert.x, cert.y) == pair
+    assert check_diamond_corollary(emb, first, third) is None
+    merged = merge_interlaced(emb, cert.face, cert.face_x, cert.face_y, cert.x, cert.y)
+    assert len(merged.embedding.antifaces) == 1
+
+
+LEMMA_DIGRAPHS = (
+    gen_kn_minus_pm(8), gen_kn_minus_pm(10),
+    gen_rotational_tournament(7), gen_rotational_tournament(9),
+    circulant(7, (0, 1, 1, 3)), circulant(8, (0, 0, 1, 3, 3)),
+)
+
+
+def test_adjacent_vertices_are_consecutive_on_a_shared_antiface():
+    """The fact the interlacing routes read adjacency by: an arc lies on one
+    antiface, which visits both its ends, so two vertices are adjacent
+    exactly when they are consecutive on the walk of an antiface they share.
+    Checked against ``underlying_simple_graph`` on seeded locally
+    irreducible embeddings; the circulants have loops and parallel arcs."""
+    seen = Counter()
+    for digraph in LEMMA_DIGRAPHS:
+        decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
+        adjacency = underlying_simple_graph(digraph)
+        for seed in range(30):
+            emb = merge_to_irreducible(
+                shuffled_blocks(digraph, decomposition, random.Random(seed)))
+            faces, membership = emb.antiface_index()
+            steps = {key: walk_edge_pairs(usg_walk(face)) for key, face in faces.items()}
+            for u, w in itertools.combinations(range(digraph.n), 2):
+                shared = set(membership[u]) & set(membership[w])
+                consecutive = any(frozenset((u, w)) in steps[key] for key in shared)
+                assert consecutive == (w in adjacency[u]), (digraph.arcs, seed, u, w)
+                seen[len(shared), consecutive] += 1
+    # pairs on one shared face and on two, adjacent or not
+    assert min(seen[1, True], seen[1, False], seen[2, True], seen[2, False]) >= 1
 
 
 def test_certificates_really_interlace(tournament7, sts7):

@@ -225,6 +225,12 @@ def _spans(n, pairs):
     return count == n
 
 
+def least_first(walk):
+    """A closed walk rotated to start at its least id."""
+    i = walk.index(min(walk))
+    return walk[i:] + walk[:i]
+
+
 class DirectedCircuit:
     """Closed directed walk through distinct arcs, stored as arc ids."""
 
@@ -264,8 +270,7 @@ class DirectedCircuit:
 
     def canonical(self):
         """Rotation starting at the minimum arc id; arc ids are distinct."""
-        i = self.arc_ids.index(min(self.arc_ids))
-        return self.arc_ids[i:] + self.arc_ids[:i]
+        return least_first(self.arc_ids)
 
     def __repr__(self):
         return f"DirectedCircuit({list(self.arc_ids)})"

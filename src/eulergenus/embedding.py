@@ -36,16 +36,16 @@ its parent's.
 
 The full tracer walks ``successors``: one step of a face from outgoing
 half h is ``leave[h >> 1]``.  Orbits are marked in a bytearray, and a
-traced face holds only its walk.  Its corners, its vertex set and its set
-of walk arcs (``FaceWalk.walk_set``) are built from the walk when first
-asked for: the touch graph reads the antifaces' vertex sets, and "does
-this face hold arc g" costs O(1) for the few faces a surgery touches,
-while profaces and untouched faces pay for none of them.
+traced face holds only its walk.  Its corners and its vertex set are
+built from the walk when first asked for: the touch graph reads the
+antifaces' vertex sets, while profaces pay for neither.  No face caches
+its arcs as a set: a surgery compares the walks it predicts with the
+walks traced.
 """
 
 from itertools import chain
 
-from .digraph import _sequence, check_json_ints
+from .digraph import _sequence, check_json_ints, least_first
 from .errors import EmbeddingError, GraphError
 
 
@@ -53,17 +53,18 @@ class FaceWalk:
     """Closed face boundary, stored as outgoing half-arc ids in canonical rotation.
 
     ``corners[j]`` is the vertex the face passes between arriving on arc
-    ``walk[j]`` and departing on ``walk[j + 1]``.  The corners, the vertex
-    set and the walk's arc set are built from the walk when first read.
+    ``walk[j]`` and departing on ``walk[j + 1]``.  The corners and the
+    vertex set are built from the walk when first read; the walk is all
+    that is stored.
     """
 
-    __slots__ = ("digraph", "walk", "color", "_corners", "_vset", "_walk_set")
+    __slots__ = ("digraph", "walk", "color", "_corners", "_vset")
 
     def __init__(self, digraph, walk, color):
         self.digraph = digraph
         self.walk = least_first(tuple(walk))
         self.color = color
-        self._corners = self._vset = self._walk_set = None
+        self._corners = self._vset = None
 
     @property
     def key(self):
@@ -80,14 +81,6 @@ class FaceWalk:
 
     def arcs(self):
         return tuple(h >> 1 for h in self.walk)
-
-    @property
-    def walk_set(self):
-        """The outgoing half-arcs of the walk as a frozenset, built on first use."""
-        arcs = self._walk_set
-        if arcs is None:
-            arcs = self._walk_set = frozenset(self.walk)
-        return arcs
 
     @property
     def corners(self):
@@ -334,12 +327,6 @@ class OrientedDirectedEmbedding:
 
     def __repr__(self):
         return f"OrientedDirectedEmbedding(n={self.digraph.n}, m={self.digraph.m})"
-
-
-def least_first(walk):
-    """A closed walk rotated to start at its least half-arc."""
-    i = walk.index(min(walk))
-    return walk[i:] + walk[:i]
 
 
 class _RotationFault(EmbeddingError):

@@ -192,22 +192,21 @@ def three_neighbor_search(embedding, face, candidates):
     raise EmbeddingError("no repeated candidate vertex encloses a cross-type candidate")
 
 
-def diamond_search(embedding, face, t, u, v, x):
+def diamond_search(table, face, t, u, v, x):
     """Interlaced pair from a diamond: a path t, u, v sharing one second
     face, plus a witness x adjacent to all three with a different second face.
 
-    The caller, ``check_diamond_corollary``, has established each premise:
-    t, u and v are three distinct vertices of type exactly {A, B}, and
-    ``face`` is the embedding's own A or B; x lies on ``face`` and on a
-    face outside {A, B}; x-t, x-u, x-v, t-u and u-v are steps of the
-    face's walk.
+    The caller, ``check_diamond_corollary``, has established each premise
+    and hands over the touch graph it read them from: t, u and v are three
+    distinct vertices of type exactly {A, B}, and ``face`` is the table's
+    own A or B; x lies on ``face`` and on a face outside {A, B}; x-t, x-u,
+    x-v, t-u and u-v are steps of the face's walk.
 
     Since x-u is a step, some traversal direction of the face walks x
     directly into u.  The interval from that x to its next occurrence
     decides the partner: t or v when its edge to x stays outside the
     interval and {t_or_v, u} appears inside, otherwise u.
     """
-    table = TypeTable(embedding)
     walk = usg_walk(face)
     length = len(walk)
     ordered, q = next(
@@ -352,8 +351,8 @@ def check_diamond_corollary(embedding, face_a, face_b):
         side = common[0]
         legs = [w for w in sorted(set(e1) | set(e2)) if w != hub]
         if side == "a":
-            return diamond_search(embedding, a, legs[0], hub, legs[1], x_a)
-        return diamond_search(embedding, b, legs[0], hub, legs[1], x_b)
+            return diamond_search(table, a, legs[0], hub, legs[1], x_a)
+        return diamond_search(table, b, legs[0], hub, legs[1], x_b)
     raise EmbeddingError("no two of three edges share a face class")
 
 

@@ -526,7 +526,8 @@ def reduce_to_upper_embedding(digraph, decomposition, mode=STRICT,
 def reduce_embedding(embedding, decomposition, mode=BEST_EFFORT,
                      validate_steps=False):
     """Continue reducing an existing embedding whose profaces are already
-    the given circuits.  Same contract as reduce_to_upper_embedding."""
+    the given circuits.  Returns (embedding, trace) as
+    reduce_to_upper_embedding does, but the default mode is best effort."""
     _check_input(embedding.digraph, decomposition, mode)
     if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding profaces do not match the decomposition")

@@ -6,16 +6,18 @@ lives inside blocks while antiface pairing crosses block boundaries.
 Permuting blocks at a vertex therefore rewires antifaces and nothing else,
 which each operation checks on the blocks.  Every move is one 3-cycle,
 ``_rewire_three``, which reorders both halves tuples of one vertex; the
-result shares its parent's other halves and traces its own faces, and
-every antiface postcondition is checked against that fresh trace.  No
-rotation is read or written here.  A failed check raises
-``EmbeddingError``, also under ``python -O``.
+result shares its parent's other halves and traces its own faces.  A
+surgery predicts the walks it creates before the child is traced: three
+faces joined in rotation order, or a split face's kept part and the part
+that absorbs the partner.  ``_created_antifaces`` is the one antiface
+postcondition: the fresh trace must show exactly those walks, and every
+other antiface unchanged.  No rotation is read or written here.  A failed
+check raises ``EmbeddingError``, also under ``python -O``.
 """
 
 from fractions import Fraction
 
-from .digraph import density_profile
-from .embedding import least_first
+from .digraph import density_profile, least_first
 from .errors import EmbeddingError, HypothesisError, LocalIrreducibilityError
 from .interlace import _crowded_vertex
 
@@ -75,37 +77,47 @@ def _rewire_three(embedding, v, h1, h2, h3):
     return embedding._with_halves(v, reordered(outgoing), reordered(incoming))
 
 
-def _created_antifaces(embedding, new_embedding, inputs, v, operation):
-    """Antifaces of ``new_embedding`` that are not antifaces of ``embedding``.
+def _created_antifaces(embedding, child, inputs, v, operation, predicted):
+    """The antifaces of ``child`` that replace ``inputs``, in the order of
+    the ``predicted`` walks.
 
     Raises unless the profaces and every antiface but ``inputs`` survive
-    as an equal walk; a created face keeps an input's key.  The profaces
-    survive exactly when v keeps its blocks, in any order, and every other
-    vertex its halves: a proface leaves on its own block's outgoing half.
+    as an equal walk, and the created faces are exactly the predicted
+    walks; a created face keeps an input's key.  The profaces survive
+    exactly when v keeps its blocks, in any order, and every other vertex
+    its halves: a proface leaves on its own block's outgoing half.
     """
-    old, new = embedding.halves, new_embedding.halves
+    old, new = embedding.halves, child.halves
     if (old[:v] != new[:v] or old[v + 1:] != new[v + 1:]
             or set(zip(*old[v])) != set(zip(*new[v]))):
         raise EmbeddingError(f"{operation} at vertex {v} changed the profaces")
     old_faces = embedding.antiface_index()[0]
     gone = {f.key for f in inputs}
     created = []
-    for face in new_embedding.antifaces:
+    for face in child.antifaces:
         old = old_faces.get(face.key)
         if old is None or face.key in gone or old != face:
             created.append(face)
-    if len(new_embedding.antifaces) - len(created) != len(old_faces) - len(gone):
+    if len(child.antifaces) - len(created) != len(old_faces) - len(gone):
         raise EmbeddingError(f"{operation} at vertex {v} changed an antiface it did not touch")
-    return created
+    walks = [least_first(walk) for walk in predicted]
+    if sorted(f.walk for f in created) != sorted(walks):
+        raise EmbeddingError(f"{operation} at vertex {v} did not yield the predicted antifaces")
+    return sorted(created, key=lambda f: walks.index(f.walk))
 
 
-def _arrival_at(digraph, face, v):
+def _arrival_at(face, v):
     """Lowest incoming half-arc on which the face reaches v."""
-    arcs = face.walk_set
-    for h in digraph.in_half_arcs(v):
-        if h ^ 1 in arcs:
-            return h
-    raise EmbeddingError(f"face does not visit vertex {v}")
+    arrival = min((h | 1 for h, c in zip(face.walk, face.corners) if c == v), default=None)
+    if arrival is None:
+        raise EmbeddingError(f"face does not visit vertex {v}")
+    return arrival
+
+
+def _walk_after(face, arrival):
+    """The face's walk from the arc after the one arriving on ``arrival``."""
+    anchor = face.walk.index(arrival & ~1)
+    return _cyclic_slice(face.walk, anchor + 1, anchor)
 
 
 def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
@@ -115,22 +127,14 @@ def merge_three_at_vertex(embedding, v, face_a, face_b, face_c):
     c = embedding.own_antiface(face_c)
     if len({a.key, b.key, c.key}) != 3:
         raise EmbeddingError("the three antifaces must be distinct")
-    chosen = sorted(_arrival_at(embedding.digraph, f, v) for f in (a, b, c))
-    new_embedding = _rewire_three(embedding, v, *chosen)
-
-    created = _created_antifaces(embedding, new_embedding, (a, b, c), v, "merge")
-    if len(created) != 1:
-        raise EmbeddingError(f"merge at vertex {v} did not replace three antifaces by one")
-    (merged,) = created
-    # no arc repeats on a face, so equal lengths and equal arc sets mean
-    # the merged walk holds exactly the arcs of the three inputs
-    arcs = merged.walk_set
-    if not (len(arcs) == len(merged.walk) == len(a.walk) + len(b.walk) + len(c.walk)
-            and arcs == a.walk_set | b.walk_set | c.walk_set):
-        raise EmbeddingError(
-            f"merged antiface at vertex {v} does not hold exactly the arcs of the three inputs"
-        )
-
+    arrivals = {_arrival_at(f, v): f for f in (a, b, c)}
+    ordered = sorted(arrivals, key=embedding.halves[v][1].index)
+    new_embedding = _rewire_three(embedding, v, *ordered)
+    # each arrival now departs where the rotation-next one did, so the
+    # merged face walks each input from its arrival's old departure, in turn
+    merged_walk = sum((_walk_after(arrivals[h], h) for h in ordered), ())
+    (merged,) = _created_antifaces(
+        embedding, new_embedding, (a, b, c), v, "merge", [merged_walk])
     return SurgeryResult(new_embedding, merged=merged)
 
 
@@ -157,11 +161,10 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
 
     in_a1 = a.walk[cut1] | 1
     in_a2 = a.walk[cut2] | 1
-    in_b = _arrival_at(embedding.digraph, b, v)
+    in_b = _arrival_at(b, v)
     part1 = _cyclic_slice(a.walk, cut1 + 1, cut2)
     part2 = _cyclic_slice(a.walk, cut2 + 1, cut1)
-    anchor = b.walk.index(in_b & ~1)
-    b_from_corner = b.walk[anchor + 1:] + b.walk[:anchor + 1]
+    b_from_corner = _walk_after(b, in_b)
 
     # the part whose closing corner the rotation reaches first (clockwise
     # from in_a1) is the part that absorbs B; all three halves are incoming at v
@@ -173,15 +176,8 @@ def split_swap(embedding, v, face_a, cut1, cut2, face_b):
         merged_walk, kept_walk = part2 + b_from_corner, part1
 
     new_embedding = _rewire_three(embedding, v, in_a1, in_a2, in_b)
-    created = _created_antifaces(embedding, new_embedding, (a, b), v, "split")
-    merged_walk = least_first(merged_walk)
-    kept_walk = least_first(kept_walk)
-    # the predicted walks share no arc, so they sort by key as faces do
-    if [f.walk for f in created] != sorted((merged_walk, kept_walk)):
-        raise EmbeddingError(
-            f"split at vertex {v} did not yield the predicted kept and merged antifaces"
-        )
-    merged, kept = created if created[0].walk == merged_walk else created[::-1]
+    merged, kept = _created_antifaces(
+        embedding, new_embedding, (a, b), v, "split", [merged_walk, kept_walk])
     return SurgeryResult(new_embedding, merged=merged, kept=kept)
 
 

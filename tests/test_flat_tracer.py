@@ -222,10 +222,10 @@ def test_arrival_lookup_equals_the_corner_scan(graph_index, seed, rewires):
     for face in emb.antifaces:
         for v in range(digraph.n):
             if face.visits(v):
-                assert _arrival_at(digraph, face, v) == _old_arrival_at(face, v)
+                assert _arrival_at(face, v) == _old_arrival_at(face, v)
             else:
                 with pytest.raises(EmbeddingError, match=f"does not visit vertex {v}"):
-                    _arrival_at(digraph, face, v)
+                    _arrival_at(face, v)
 
 
 @settings(max_examples=60, deadline=None)

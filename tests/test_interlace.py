@@ -321,19 +321,18 @@ def test_shared_vertex_gate_matches_the_returned_value(tournament7, sts7, monkey
     calls = []
     search = interlace.diamond_search
 
-    def checked(emb, face, t, u, v, x):
-        table = TypeTable(emb)
-        assert emb.own_antiface(face) is face
+    def checked(table, face, t, u, v, x):
+        assert table.faces[face.key] is face
         assert len({t, u, v}) == 3
         second = {table.partner(w, face.key) for w in (t, u, v)}
         assert len(second) == 1 and None not in second
         assert table.partner(x, face.key) not in second | {None}
-        adjacency = underlying_simple_graph(emb.digraph)
+        adjacency = underlying_simple_graph(face.digraph)
         assert all(w in adjacency[x] for w in (t, u, v))
         edges = walk_edge_pairs(usg_walk(face))
         assert frozenset((t, u)) in edges and frozenset((u, v)) in edges
         calls.append((t, u, v, x))
-        return search(emb, face, t, u, v, x)
+        return search(table, face, t, u, v, x)
 
     monkeypatch.setattr(interlace, "diamond_search", checked)
     certificates = 0

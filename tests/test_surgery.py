@@ -155,7 +155,7 @@ def test_merge_three_rejects_a_corrupted_merged_face(tournament7, monkeypatch, c
     emb = nth_state(digraph, decomposition, 0)
     v, (a, b, c) = find_vertex_on_three_antifaces(emb)
     _corrupt_derived_faces(monkeypatch, emb, corrupt)
-    with pytest.raises(EmbeddingError, match="does not hold exactly the arcs"):
+    with pytest.raises(EmbeddingError, match=f"merge at vertex {v} did not yield the predicted"):
         merge_three_at_vertex(emb, v, a, b, c)
 
 
@@ -165,13 +165,19 @@ def test_split_swap_rejects_a_corrupted_merged_face(four_loops, monkeypatch):
     a, b = emb.antifaces
     cut1, cut2 = a.corner_positions(0)[:2]
     _corrupt_derived_faces(monkeypatch, emb, _foreign_last_arc)
-    with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
+    with pytest.raises(EmbeddingError, match="split at vertex 0 did not yield the predicted"):
         split_swap(emb, 0, a, cut1, cut2, b)
 
 
 def _reverse_after_first_arc(face, parent):
     # same least arc and arc set, so only a whole-walk comparison notices
     return FaceWalk(parent.digraph, face.walk[:1] + face.walk[:0:-1], "anti")
+
+
+def _reverse_face(walk):
+    """A corruption that reverses, after its first arc, only the face on ``walk``."""
+    return lambda face, parent: (_reverse_after_first_arc(face, parent)
+                                 if face.walk == walk else face)
 
 
 def test_split_swap_rejects_a_reordered_merged_face(four_loops, monkeypatch):
@@ -181,13 +187,20 @@ def test_split_swap_rejects_a_reordered_merged_face(four_loops, monkeypatch):
     cut1, cut2 = a.corner_positions(0)[:2]
     merged = split_swap(emb, 0, a, cut1, cut2, b).merged
     assert len(merged) >= 3  # reversing a walk of two arcs keeps its cyclic order
-    _corrupt_derived_faces(
-        monkeypatch, emb,
-        lambda face, parent: (_reverse_after_first_arc(face, parent)
-                              if face.walk == merged.walk else face),
-    )
-    with pytest.raises(EmbeddingError, match="predicted kept and merged antifaces"):
+    _corrupt_derived_faces(monkeypatch, emb, _reverse_face(merged.walk))
+    with pytest.raises(EmbeddingError, match="split at vertex 0 did not yield the predicted"):
         split_swap(emb, 0, a, cut1, cut2, b)
+
+
+def test_merge_three_rejects_a_reordered_merged_face(tournament7, monkeypatch):
+    digraph, decomposition = tournament7
+    emb = nth_state(digraph, decomposition, 0)
+    v, inputs = find_vertex_on_three_antifaces(emb)
+    merged = merge_three_at_vertex(emb, v, *inputs).merged
+    assert len(merged) >= 3  # reversing a walk of two arcs keeps its cyclic order
+    _corrupt_derived_faces(monkeypatch, emb, _reverse_face(merged.walk))
+    with pytest.raises(EmbeddingError, match=f"merge at vertex {v} did not yield the predicted"):
+        merge_three_at_vertex(emb, v, *inputs)
 
 
 def test_merge_three_rejects_a_reordered_untouched_face(tournament7, monkeypatch):

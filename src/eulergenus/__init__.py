@@ -34,7 +34,7 @@ from .surgery import (BLACK, RED, WHITE, DivisionResult, SurgeryResult,
 from .touch import (TouchClassification, build_touch_graph, classify,
                     touch_graph_dot)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "BEST_EFFORT", "BLACK", "CertificationResult", "CircuitDecomposition",

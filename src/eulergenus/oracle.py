@@ -11,7 +11,10 @@ a deterministic stream that callers can index, made one state at a time.
 The tally in :func:`enumerate_relative_embeddings` builds no state: it
 joins one vertex at a time in place and counts, once per way the open
 antiface strands cross the cut to the vertices left, how those vertices
-can close them.
+can close them.  :func:`certify_maximal` needs only the fewest antifaces,
+the maximum genus relative to the circuits, so it runs the same levels
+(:func:`_on_levels`) through a (min, +) tally that keeps, per cut pairing,
+the fewest closures below and the number of states below.
 """
 
 from itertools import islice, permutations
@@ -153,6 +156,56 @@ def _closures(level, first, last, orders=None):
     return tally
 
 
+def _fewest(level, first, last, orders=None):
+    """The fewest strands the vertices from ``level`` on can close, and the
+    number of their states: :func:`_closures` as a (min, +) tally, whose
+    memos hold (fewest closures, states) pairs of the same cuts."""
+    g0, a0, pairs, cut, memo, below = level
+    least, states = len(first), 0  # no arrangement closes more strands than arcs
+    for order in orders or permutations(pairs):
+        closed = 0
+        a = a0
+        for g, h in order:
+            f = first[a]
+            if f == g:
+                closed += 1
+            else:
+                end = last[g]
+                last[f] = end
+                first[end] = f
+            a = h
+        f = first[a]
+        if f == g0:
+            closed += 1
+        else:
+            end = last[g0]
+            last[f] = end
+            first[end] = f
+        key = cut(first)
+        rest = memo.get(key)
+        if rest is None:
+            rest = memo[key] = _fewest(below, first, last)
+        fewest, ways = rest
+        closed += fewest
+        if closed < least:
+            least = closed
+        states += ways
+        g = g0  # walk the joins back, from the last
+        for before, h in reversed(order):
+            f = first[h]
+            if f != g:
+                end = last[g]
+                last[f] = h
+                first[end] = g
+            g = before
+        f = first[a0]
+        if f != g:
+            end = last[g]
+            last[f] = a0
+            first[end] = g
+    return least, states
+
+
 def _elimination_order(digraph, blocks):
     """The free vertices, of in-degree at least 3, in placing order: each
     next has the most arcs to the vertices placed, ties to the lowest."""
@@ -174,22 +227,17 @@ def _elimination_order(digraph, blocks):
     return order
 
 
-def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
-    """Tally antiface counts across all embeddings with profaces C.
+def _on_levels(tally, digraph, decomposition, base):
+    """Build the chain of levels and run ``tally`` (:func:`_closures` or
+    :func:`_fewest`) down it from every arc as its own strand.  ``base`` is
+    the value of the empty cut after the last level, and the answer when
+    the digraph has no arcs and so no level.
 
-    The antifaces are the cycles of a successor map on arcs made of one
-    local bijection per vertex arrangement.  Placing vertices one at a
-    time joins arcs into strands, and the ways the rest can close them
-    depend only on how the open strands pair the arcs across the cut.
     Vertices of in-degree at most 2 have one arrangement each, chained into
-    a first level; the free ones follow depth first in a greedy order that
-    keeps cuts narrow, and each cut pairing's result is memoised until
-    return.  So the cost follows the distinct cut pairings, not the states
-    (tournament 9, 10,077,696 states, takes under a second), but a free
-    vertex tries each of its lazily made arrangements.  Each free vertex at
-    least doubles the state count: fewer than log2(limit) levels recurse.
+    a first level whose one order is their joins; the free ones follow in a
+    greedy order that keeps cuts narrow.  A cut's key getter reads, for
+    each arc crossing it, the first arc of the strand ending there.
     """
-    states = _check_feasible(digraph, decomposition, limit)
     blocks = [[(g >> 1, h >> 1) for g, h in pairs]
               for pairs in decomposition_blocks(digraph, decomposition)]
     order = _elimination_order(digraph, blocks)
@@ -203,7 +251,7 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
             cuts[i].append(a)
             i += 1
     keys = [itemgetter(*cut) if cut else lambda first: () for cut in cuts]
-    level, memo = None, {(): {0: 1}}  # the empty cut after the last level
+    level, memo = None, {(): base}  # the empty cut after the last level
     for v, key in zip(reversed(order), reversed(keys)):
         level, memo = (*blocks[v][0], blocks[v][1:], key, memo, level), {}
     # the rigid vertices' joins (incoming, outgoing), chained as one order
@@ -214,8 +262,28 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
         ins, outs = zip(*joins)
         orders = [tuple(zip(outs, ins[1:]))]
         level = (outs[-1], ins[0], None, keys[0], memo, level)
-    first, last = list(range(digraph.m)), list(range(digraph.m))
-    distribution = _closures(level, first, last, orders) if level else {0: 1}
+    if level is None:
+        return base
+    return tally(level, list(range(digraph.m)), list(range(digraph.m)), orders)
+
+
+def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
+    """Tally antiface counts across all embeddings with profaces C.
+
+    The antifaces are the cycles of a successor map on arcs made of one
+    local bijection per vertex arrangement.  Placing vertices one at a
+    time joins arcs into strands, and the ways the rest can close them
+    depend only on how the open strands pair the arcs across the cut.
+    The rigid vertices come first as one level, the free ones follow depth
+    first (see :func:`_on_levels`), and each cut pairing's result is
+    memoised until return.  So the cost follows the distinct cut pairings,
+    not the states (tournament 9, 10,077,696 states, takes under a
+    second), but a free vertex tries each of its lazily made arrangements.
+    Each free vertex at least doubles the state count: fewer than
+    log2(limit) levels recurse.
+    """
+    states = _check_feasible(digraph, decomposition, limit)
+    distribution = _on_levels(_closures, digraph, decomposition, {0: 1})
     if len({count % 2 for count in distribution}) != 1:
         raise EmbeddingError(
             f"antiface counts {sorted(distribution)} do not share one parity")
@@ -226,15 +294,16 @@ def enumerate_relative_embeddings(digraph, decomposition, limit=10_000_000):
 
 
 class CertificationResult:
-    """Comparison of one embedding against the exhaustive minimum."""
+    """Comparison of one embedding against the exhaustive minimum: the
+    embedding's antiface count, the fewest of any embedding with the same
+    profaces, and the number of those embeddings."""
 
-    __slots__ = ("achieved", "minimum", "distribution", "states")
+    __slots__ = ("achieved", "minimum", "states")
 
-    def __init__(self, achieved, summary):
+    def __init__(self, achieved, minimum, states):
         self.achieved = achieved
-        self.minimum = summary.min_antifaces
-        self.distribution = summary.distribution
-        self.states = summary.states
+        self.minimum = minimum
+        self.states = states
 
     @property
     def passed(self):
@@ -248,8 +317,20 @@ class CertificationResult:
 
 
 def certify_maximal(embedding, digraph, decomposition, limit=10_000_000):
-    """Certify that an embedding attains the minimum antiface count for C."""
+    """Certify that an embedding attains the minimum antiface count for C.
+
+    The minimum comes from :func:`_fewest`, the (min, +) form of the
+    distribution tally on the same levels: every one of the
+    :func:`state_count` embeddings is counted, and none is built.
+    """
     if not embedding.profaces_are(decomposition):
         raise EmbeddingError("embedding's profaces are not the given circuits")
-    summary = enumerate_relative_embeddings(digraph, decomposition, limit)
-    return CertificationResult(embedding.antiface_count(), summary)
+    states = _check_feasible(digraph, decomposition, limit)
+    minimum, visited = _on_levels(_fewest, digraph, decomposition, (0, 1))
+    if visited != states:
+        raise EmbeddingError(f"the tally visited {visited} states, not {states}")
+    achieved = embedding.antiface_count()
+    if (achieved - minimum) % 2:
+        raise EmbeddingError(
+            f"{achieved} antifaces and the minimum {minimum} differ in parity")
+    return CertificationResult(achieved, minimum, states)

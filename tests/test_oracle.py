@@ -37,6 +37,18 @@ def _reference_tally(digraph, decomposition):
     return counts
 
 
+def _certify_first_state(digraph, decomposition, **limit):
+    """The minimum-only tally, run by certifying the first state."""
+    embedding = embed_from_decomposition(digraph, decomposition)
+    return certify_maximal(embedding, digraph, decomposition, **limit)
+
+
+def _assert_minimum_matches(digraph, decomposition, reference):
+    cert = _certify_first_state(digraph, decomposition)
+    assert cert.minimum == min(reference)
+    assert cert.states == state_count(digraph)
+
+
 def test_state_count_is_a_product_of_factorials(tournament7, sts7):
     t7_digraph, _ = tournament7
     sts_digraph, _ = sts7
@@ -131,6 +143,9 @@ def test_enumeration_limit_guard(tournament7):
     with pytest.raises(StateSpaceError) as err:
         enumerate_relative_embeddings(digraph, decomposition, limit=5)
     assert str(err.value) == "128 embeddings exceed the enumeration limit of 5"
+    with pytest.raises(StateSpaceError) as err:
+        _certify_first_state(digraph, decomposition, limit=5)
+    assert str(err.value) == "128 embeddings exceed the enumeration limit of 5"
     with pytest.raises(StateSpaceError):
         next(iter_relative_embeddings(digraph, decomposition, limit=5))
 
@@ -156,7 +171,9 @@ def test_tally_matches_the_embedding_stream():
     digraph = Digraph(2, [(0, 1), (1, 0), (0, 0), (1, 1), (0, 1), (1, 0)])
     for decomposition in all_decompositions(digraph):
         summary = enumerate_relative_embeddings(digraph, decomposition)
-        assert _reference_tally(digraph, decomposition) == summary.distribution
+        reference = _reference_tally(digraph, decomposition)
+        assert reference == summary.distribution
+        _assert_minimum_matches(digraph, decomposition, reference)
 
 
 STATE_CAP = 2000
@@ -213,8 +230,10 @@ def small_eulerian_instances(draw):
 def test_elimination_tally_matches_the_lexicographic_stream(instance):
     digraph, decomposition = instance
     summary = enumerate_relative_embeddings(digraph, decomposition)
-    assert summary.distribution == _reference_tally(digraph, decomposition)
+    reference = _reference_tally(digraph, decomposition)
+    assert summary.distribution == reference
     assert summary.states == state_count(digraph)
+    _assert_minimum_matches(digraph, decomposition, reference)
 
 
 def _hub_with_loops(loops):
@@ -225,8 +244,8 @@ def _hub_with_loops(loops):
 
 @pytest.mark.parametrize("loops", [4, 5, 6], ids=["indeg6", "indeg7", "indeg8"])
 def test_tally_of_a_wide_vertex_matches_the_stream(loops):
-    """120, 720 and 5,040 arrangements at vertex 0, beside rigid vertices;
-    the hypothesis property caps in-degree at 5."""
+    """120, 720 and 5,040 arrangements at vertex 0, beside rigid vertices,
+    through both tallies; the hypothesis property caps in-degree at 5."""
     digraph = _hub_with_loops(loops)
     assert state_count(digraph) == factorial(loops + 1)
     one_circuit = CircuitDecomposition(digraph, [euler_circuit(digraph)])
@@ -234,7 +253,9 @@ def test_tally_of_a_wide_vertex_matches_the_stream(loops):
         digraph, [[0, 1, 2], [3, 4]] + [[a] for a in range(5, digraph.m)])
     for decomposition in (one_circuit, loops_apart):
         summary = enumerate_relative_embeddings(digraph, decomposition)
-        assert summary.distribution == _reference_tally(digraph, decomposition)
+        reference = _reference_tally(digraph, decomposition)
+        assert summary.distribution == reference
+        _assert_minimum_matches(digraph, decomposition, reference)
 
 
 def test_tally_of_one_vertex_keeps_no_arrangements():
@@ -292,6 +313,7 @@ def test_tally_without_arcs():
     summary = enumerate_relative_embeddings(digraph, decomposition)
     assert summary.distribution == {0: 1} == _reference_tally(digraph, decomposition)
     assert summary.states == 1
+    _assert_minimum_matches(digraph, decomposition, summary.distribution)
 
 
 def test_tally_raises_when_it_misses_the_state_count(monkeypatch, tournament7):
@@ -300,6 +322,18 @@ def test_tally_raises_when_it_misses_the_state_count(monkeypatch, tournament7):
     monkeypatch.setattr(oracle, "state_count", lambda d: real(d) + 1)
     with pytest.raises(EmbeddingError, match="the tally visited 128 states, not 129"):
         enumerate_relative_embeddings(digraph, decomposition)
+    with pytest.raises(EmbeddingError, match="the tally visited 128 states, not 129"):
+        _certify_first_state(digraph, decomposition)
+
+
+def test_certify_raises_when_the_minimum_has_the_other_parity(monkeypatch, tournament7):
+    """Every count of one proface family shares a parity, so a certified
+    count of the other parity means a fault; the minimum here is 1."""
+    digraph, decomposition = tournament7
+    embedding = embed_from_decomposition(digraph, decomposition)
+    monkeypatch.setattr(type(embedding), "antiface_count", lambda self: 2)
+    with pytest.raises(EmbeddingError, match="^2 antifaces and the minimum 1 differ in parity$"):
+        certify_maximal(embedding, digraph, decomposition)
 
 
 @pytest.mark.parametrize("digraph, distribution", [
@@ -307,21 +341,27 @@ def test_tally_raises_when_it_misses_the_state_count(monkeypatch, tournament7):
     (circulant(23, (1, 7, 11)), {1: 1691941, 3: 5520773, 5: 1151436, 7: 24458}),
 ], ids=["tournament9", "circulant23"])
 def test_large_distributions_match_the_state_by_state_tally(digraph, distribution):
-    """Pinned from a tally that walked all 10,077,696 and 8,388,608 states."""
+    """Pinned from a tally that walked all 10,077,696 and 8,388,608 states;
+    the minimum-only tally must agree."""
     decomposition = CircuitDecomposition(digraph, [euler_circuit(digraph)])
     states = state_count(digraph)
     summary = enumerate_relative_embeddings(digraph, decomposition, limit=states)
     assert summary.distribution == distribution
     assert summary.states == states == sum(distribution.values())
+    cert = _certify_first_state(digraph, decomposition, limit=states)
+    assert (cert.minimum, cert.states) == (min(distribution), states)
 
 
 def test_tally_leaves_no_cyclic_garbage(tournament7):
-    """The memo must go with the call, not wait for a collection."""
+    """Both tallies' memos must go with the call, not wait for a collection."""
     digraph, decomposition = tournament7
+    embedding = embed_from_decomposition(digraph, decomposition)
     gc.collect()
     gc.disable()
     try:
         enumerate_relative_embeddings(digraph, decomposition)
+        assert gc.collect() == 0
+        certify_maximal(embedding, digraph, decomposition)
         assert gc.collect() == 0
     finally:
         gc.enable()
